@@ -9,10 +9,11 @@ For each workload in BENCHMARK.json it runs one untraced and one traced
 one-second run and checks that the last line is the result object, that the
 run is correct with no failed operation, that the untraced run emits exactly
 the end-to-end metrics and the traced run exactly the per-layer metrics, with
-the units BENCHMARK.json gives, and that the traced run's per-layer table
-states the same better-direction.  It then checks the deterministic counters
-of the traced run: two runs with one seed print the same counters, a run with
-another seed prints different ones.  Exits 1 on the first failed check.
+the units BENCHMARK.json gives, and that the traced run names, for every
+per-layer metric, the end-to-end metric and workload it should move.  It then
+checks the deterministic counters of the traced run: two runs with one seed
+print the same counters, a run with another seed prints different ones.
+Exits 1 on the first failed check.
 """
 
 import json
@@ -22,7 +23,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LAYER_LINE = re.compile(r"^(\S+) = (\S+) (\S+) \((lower|higher) is better;")
+LAYER_LINE = re.compile(r"^(\S+) = \S+ \S+ \(moves .+ on .+\)$")
 
 
 def run(spec, workload, seed, trace):
@@ -60,15 +61,15 @@ def counters(lines):
 def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    better = {m["name"]: m["better"] for m in spec["per_layer"]}
+    layers = {m["name"] for m in spec["per_layer"]}
     for workload in (w["name"] for w in spec["workloads"]):
         _, result = run(spec, workload, 1, 0)
         check_result(result, spec["end_to_end"], f"{workload} --trace 0")
         lines, result = run(spec, workload, 1, 1)
         check_result(result, spec["per_layer"], f"{workload} --trace 1")
-        stated = {m[1]: m[4] for m in map(LAYER_LINE.match, lines) if m}
-        if stated != better:
-            fail(f"{workload}: per-layer directions {stated} differ from {better}")
+        stated = {m[1] for m in map(LAYER_LINE.match, lines) if m}
+        if stated != layers:
+            fail(f"{workload}: no moved metric and workload named for {sorted(layers - stated)}")
         again, _ = run(spec, workload, 1, 1)
         other, _ = run(spec, workload, 2, 1)
         if not counters(lines) or counters(again) != counters(lines):

@@ -19,7 +19,7 @@ use polycanary_attacks::{
 use polycanary_core::scheme::SchemeKind;
 
 use crate::layers::{Layers, Span, Trace};
-use crate::util::{export_round_trip, mix, ms, steal_jiffies, Slice};
+use crate::util::{export_round_trip, mix, Phase};
 
 /// Worker threads per campaign: the benchmark host's core count.
 pub const WORKERS: usize = 2;
@@ -93,11 +93,20 @@ fn cycle(family: Family) -> Vec<Spec> {
             fork(EXH, pssp, compiler, FORK_EXH_VICTIMS, resists),
             fork(EXH, bin32, rewriter, FORK_EXH_VICTIMS, resists),
         ],
+        // Three campaigns of each kind, interleaved: sorted by time the
+        // reuse campaigns (thread spawn/join-bound, under 0.5 ms) fill the
+        // lowest third, exhaustive the middle and byte-by-byte the top, so
+        // the median campaign is an exhaustive one and the p90 a
+        // byte-by-byte one; neither is set by thread start-up.
         Family::Owf => vec![
             owf(BBB, owf_scheme, resists),
             owf(EXH, owf_scheme, resists),
             owf(AttackKind::Reuse, ssp, breaks),
+            owf(BBB, owf_scheme, resists),
+            owf(EXH, owf_scheme, resists),
             owf(AttackKind::Reuse, pssp, breaks),
+            owf(BBB, owf_scheme, resists),
+            owf(EXH, owf_scheme, resists),
             owf(AttackKind::Reuse, owf_scheme, resists),
         ],
     }
@@ -112,9 +121,14 @@ fn campaign(spec: &Spec, seed: u64, index: u64) -> Campaign {
         .with_workers(WORKERS)
 }
 
-/// One set-up pass: build every victim binary of the cycle, boot a server
-/// from it and serve one benign request.  Returns whether every server
-/// answered.
+/// One set-up pass: build every victim binary of the cycle (compile, and
+/// rewrite for P-SSP-bin32), boot a server from it and serve one benign
+/// request.  Returns whether every server answered.
+///
+/// Each `Campaign::run` builds its victims again in a cache of its own, so
+/// the timed phase does not use these; `setup_s` on the attack workloads is
+/// what preparing the cycle's victims costs, and it moves with the compiler
+/// and rewriter although the timed phase does not.
 pub fn setup(family: Family, seed: u64) -> bool {
     cycle(family).iter().enumerate().all(|(index, spec)| {
         let victim = VictimSnapshot::build(VictimKey {
@@ -139,8 +153,7 @@ struct Done {
 
 /// What the timed phase measured.
 pub struct Measured {
-    /// One slice per cycle of campaigns.
-    pub slices: Vec<Slice>,
+    pub phase: Phase,
     pub failed: u64,
     done: Vec<Done>,
 }
@@ -153,12 +166,19 @@ pub enum Budget {
     Cycles(usize),
 }
 
-/// The timed phase: whole cycles of campaigns, one after another.  Every
-/// campaign's verdict must equal the paper's and its export must round
-/// trip; a campaign that fails either counts as failed.
-pub fn measure(family: Family, seed: u64, budget: Budget, keep: bool) -> Measured {
+/// The timed phase: whole cycles of campaigns, one after another, with
+/// `between` run (untimed) after each cycle.  Every campaign's verdict must
+/// equal the paper's and its export must round trip; a campaign that fails
+/// either counts as failed.
+pub fn measure(
+    family: Family,
+    seed: u64,
+    budget: Budget,
+    keep: bool,
+    between: &mut dyn FnMut(),
+) -> Measured {
     let specs = cycle(family);
-    let mut measured = Measured { slices: Vec::new(), failed: 0, done: Vec::new() };
+    let mut measured = Measured { phase: Phase::default(), failed: 0, done: Vec::new() };
     let started = Instant::now();
     let mut index = 0u64;
     for round in 0.. {
@@ -169,25 +189,22 @@ pub fn measure(family: Family, seed: u64, budget: Budget, keep: bool) -> Measure
         if !more {
             break;
         }
-        let (slice_start, steal_start) = (Instant::now(), steal_jiffies());
-        let mut slice = Slice::default();
         for spec in &specs {
             let campaign = campaign(spec, seed, index);
             index += 1;
-            let t = Instant::now();
-            let report = campaign.run();
-            let exported = export_round_trip(vec![report.record()]);
-            slice.op_ms.push(ms(t.elapsed()));
-            slice.work += report.total_requests();
+            let (report, exported) = measured.phase.time(|| {
+                let report = campaign.run();
+                let exported = export_round_trip(vec![report.record()]);
+                let requests = report.total_requests();
+                ((report, exported), requests)
+            });
             let ok = exported.is_some() && report.verdict() == spec.expect;
             measured.failed += u64::from(!ok);
             if keep {
                 measured.done.push(Done { spec: *spec, campaign, report, ok });
             }
         }
-        slice.wall = slice_start.elapsed();
-        slice.steal = steal_jiffies() - steal_start;
-        measured.slices.push(slice);
+        between();
     }
     measured
 }
@@ -220,8 +237,8 @@ impl<'s> TimedOracle<'s> {
 
     /// The canary-reuse attack, step by step over the public connection
     /// API so its fork and its two sends are timed apart.  It mirrors
-    /// `CanaryReuseAttack::run`; the replay check proves both reach the
-    /// same outcome.
+    /// `CanaryReuseAttack::run`; the replay check proves both return the
+    /// same result, recovered canary and final outcome included.
     fn reuse(&mut self, geometry: FrameGeometry) -> AttackResult {
         let scheme = self.server.scheme();
         let t0 = Instant::now();
@@ -232,8 +249,10 @@ impl<'s> TimedOracle<'s> {
         let t2 = Instant::now();
         let (mut t3, mut t4, mut outcome) = (t2, t2, leak_outcome);
         self.sends += 1;
+        let canary = geometry.filler_len..geometry.filler_len + geometry.canary_region_len;
+        let recovered_canary = leaked.get(canary).map(<[u8]>::to_vec);
         if leak_outcome.survived() {
-            let payload = reuse_payload(geometry, &leaked);
+            let payload = reuse_payload(geometry, recovered_canary.as_deref());
             t3 = Instant::now();
             outcome = conn.send(&payload);
             t4 = Instant::now();
@@ -251,7 +270,7 @@ impl<'s> TimedOracle<'s> {
             scheme,
             success: outcome.hijacked(),
             trials: 1,
-            recovered_canary: None,
+            recovered_canary,
             final_outcome: Some(outcome),
         }
     }
@@ -291,12 +310,12 @@ impl OverflowOracle for TimedOracle<'_> {
     }
 }
 
-/// The reuse attacker's overflow: filler, the leaked canary region, a saved
-/// frame pointer and the hijack target.
-fn reuse_payload(geometry: FrameGeometry, leaked: &[u8]) -> Vec<u8> {
-    let canary = geometry.filler_len..geometry.filler_len + geometry.canary_region_len;
+/// The reuse attacker's overflow: filler, the leaked canary region (zeros
+/// when the leak fell short of it), a saved frame pointer and the hijack
+/// target.
+fn reuse_payload(geometry: FrameGeometry, canary: Option<&[u8]>) -> Vec<u8> {
     let mut payload = vec![0x41u8; geometry.filler_len];
-    match leaked.get(canary) {
+    match canary {
         Some(region) => payload.extend_from_slice(region),
         None => payload.resize(payload.len() + geometry.canary_region_len, 0),
     }
@@ -327,17 +346,13 @@ fn drive_traced(
     result
 }
 
-fn same_run(replayed: &AttackResult, reported: &AttackResult) -> bool {
-    replayed.success == reported.success && replayed.trials == reported.trials
-}
-
 /// The traced run: a fixed number of cycles on two workers, then two
 /// serial replays of exactly those campaigns' kept victims, one untraced
 /// (per-victim busy time, the overhead baseline) and one traced (the
-/// layer spans).  Both replays must reproduce every victim's success and
-/// request count.
+/// layer spans).  Both replays must reproduce every victim's result
+/// exactly: success, request count, recovered canary and final outcome.
 pub fn trace(family: Family, seed: u64, cycles: usize) -> Trace {
-    let measured = measure(family, seed, Budget::Cycles(cycles), true);
+    let measured = measure(family, seed, Budget::Cycles(cycles), true, &mut || {});
     let mut ok: Vec<bool> = measured.done.iter().map(|done| done.ok).collect();
 
     let started = Instant::now();
@@ -349,7 +364,7 @@ pub fn trace(family: Family, seed: u64, cycles: usize) -> Trace {
             let t = Instant::now();
             let replayed = done.spec.attack.run_once_with(&cache, victim);
             busy += t.elapsed();
-            *ok &= same_run(&replayed, &run.result);
+            *ok &= replayed == run.result;
         }
         *ok &= export_round_trip(vec![done.report.record()]).is_some();
     }
@@ -369,7 +384,7 @@ pub fn trace(family: Family, seed: u64, cycles: usize) -> Trace {
             let mut server = ForkingServer::from_snapshot(&snapshot, victim.seed);
             layers.time("attacks.boot", t.elapsed());
             let replayed = drive_traced(done.spec.attack, &mut server, victim.scheme, &mut layers);
-            *ok &= same_run(&replayed, &run.result);
+            *ok &= replayed == run.result;
             layers.count("requests", replayed.trials);
             layers.count("successes", u64::from(replayed.success));
             layers.count("victims", 1);

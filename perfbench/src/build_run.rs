@@ -23,7 +23,7 @@ use polycanary_vm::process::Process;
 use polycanary_workloads::spec::spec_suite;
 
 use crate::layers::{Layers, Trace};
-use crate::util::{export_round_trip, mix, ms, steal_jiffies, Slice};
+use crate::util::{export_round_trip, mix, Phase};
 
 /// The compiler schemes of the matrix: the paper's baseline and its three
 /// compiler-deployed variants.
@@ -248,9 +248,8 @@ fn clean(out: &CellOut) -> bool {
 
 /// What the timed phase measured.
 pub struct Measured {
-    /// One slice per pass; a cell's time covers compile, verify, load and
-    /// run.
-    pub slices: Vec<Slice>,
+    /// A cell's time covers compile, verify, load and run.
+    pub phase: Phase,
     pub failed: u64,
     /// First output of every cell the phase ran, by cell index.
     outputs: Vec<Option<CellOut>>,
@@ -260,7 +259,7 @@ pub struct Measured {
 impl Measured {
     fn new(suite: &Suite) -> Self {
         Measured {
-            slices: Vec::new(),
+            phase: Phase::default(),
             failed: 0,
             outputs: vec![None; suite.cells.len()],
             export_bytes: 0,
@@ -277,17 +276,14 @@ fn pass(
     measured: &mut Measured,
     mut layers: Option<&mut Layers>,
 ) {
-    let (slice_start, steal_start) = (Instant::now(), steal_jiffies());
-    let mut slice = Slice::default();
     let indices: Vec<usize> = cells.map(|index| index % suite.cells.len()).collect();
     for batch in indices.chunks(BATCH) {
         let mut records = Vec::with_capacity(batch.len());
         let mut failed = 0;
         for &index in batch {
             let cell = &suite.cells[index];
-            let started = Instant::now();
-            let out = run_cell(suite, cell, layers.as_deref_mut(), false);
-            slice.op_ms.push(ms(started.elapsed()));
+            let out =
+                measured.phase.time(|| (run_cell(suite, cell, layers.as_deref_mut(), false), 1));
             let repeat_ok = match &measured.outputs[index] {
                 Some(first) => *first == out,
                 None => true,
@@ -300,19 +296,16 @@ fn pass(
         measured.export_bytes += exported.unwrap_or(0);
         measured.failed += if exported.is_some() { failed } else { batch.len() as u64 };
     }
-    slice.work = indices.len() as u64;
-    slice.wall = slice_start.elapsed();
-    slice.steal = steal_jiffies() - steal_start;
-    measured.slices.push(slice);
 }
 
 /// The timed phase: whole passes over the suite until `seconds` have
-/// passed.
-pub fn measure(suite: &Suite, seconds: f64) -> Measured {
+/// passed, with `between` run (untimed) after each pass.
+pub fn measure(suite: &Suite, seconds: f64, between: &mut dyn FnMut()) -> Measured {
     let mut measured = Measured::new(suite);
     let started = Instant::now();
     while started.elapsed().as_secs_f64() < seconds {
         pass(suite, 0..suite.cells.len(), &mut measured, None);
+        between();
     }
     measured
 }

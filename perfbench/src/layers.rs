@@ -8,77 +8,83 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// One per-layer metric: what it is, and which end-to-end metric it should
-/// move on which workload.  `BENCHMARK.json` lists the same names, units
-/// and directions; `smoke.py` checks the two agree.
-pub struct LayerMetric {
-    pub name: &'static str,
-    pub unit: &'static str,
-    pub better: &'static str,
-    /// End-to-end metric a change to this layer should move.
-    pub moves: &'static str,
-    /// Workload on which it should move it (and, in parentheses, the one
-    /// that bypasses the layer).
-    pub on: &'static str,
+use polycanary_core::record::Value;
+
+/// The benchmark's declaration, which names every metric with its unit and
+/// better-direction.  The result line takes its names and units from here,
+/// so the two cannot drift apart.
+const DECLARATION: &str = include_str!("../../BENCHMARK.json");
+
+/// The `(name, unit)` of every metric in `section` (`end_to_end` or
+/// `per_layer`) of the declaration, in its order.
+///
+/// # Panics
+///
+/// Panics when the declaration does not have that shape.
+pub fn declared(section: &str) -> Vec<(String, String)> {
+    let Ok(Value::Record(declaration)) = Value::from_json(DECLARATION) else {
+        panic!("BENCHMARK.json is not a JSON object");
+    };
+    let Some(Value::List(metrics)) = declaration.get(section) else {
+        panic!("BENCHMARK.json has no {section} list");
+    };
+    let text = |metric: &Value, key: &str| match metric {
+        Value::Record(metric) => metric.get(key).and_then(Value::as_str).map(str::to_string),
+        _ => None,
+    };
+    metrics
+        .iter()
+        .map(|metric| {
+            let field = |key| {
+                text(metric, key).unwrap_or_else(|| panic!("a {section} metric has no {key}"))
+            };
+            (field("name"), field("unit"))
+        })
+        .collect()
 }
 
-const fn m(
-    name: &'static str,
-    unit: &'static str,
-    better: &'static str,
-    moves: &'static str,
-    on: &'static str,
-) -> LayerMetric {
-    LayerMetric { name, unit, better, moves, on }
-}
-
-/// Every per-layer metric a traced run reports, in output order.
-pub const LAYER_METRICS: &[LayerMetric] = &[
-    m(
+/// For each per-layer metric: the end-to-end metric a change to the layer
+/// should move, and the workload on which it should move it (in
+/// parentheses, the one that bypasses the layer).  The declaration has no
+/// field for this, so it lives here.
+pub const LAYER_MOVES: &[(&str, &str, &str)] = &[
+    (
         "vm.fork.ns_per_call",
-        "ns",
-        "lower",
-        "ops_per_s, op_ms_*",
+        "ops_per_cpu_s, op_cpu_ms_*",
         "attack-fork, attack-owf (not build-run)",
     ),
-    m("vm.fork.calls", "count", "lower", "ops_per_s", "attack-fork, attack-owf"),
-    m("vm.send.ns_per_call", "ns", "lower", "ops_per_s", "attack-fork, attack-owf"),
-    m("vm.send.calls", "count", "lower", "ops_per_s", "attack-fork, attack-owf"),
-    m("vm.load.us_per_call", "us", "lower", "ops_per_s, op_ms_*", "build-run"),
-    m("vm.run.ns_per_kinst", "ns", "lower", "ops_per_s, op_ms_*", "build-run"),
-    m("vm.run.instructions", "count", "lower", "ops_per_s", "build-run"),
-    m("vm.run.cycles", "count", "lower", "ops_per_s", "build-run"),
-    m("attacks.attacker.ns_per_request", "ns", "lower", "ops_per_s", "attack-fork, attack-owf"),
-    m("attacks.boot.ns_per_call", "ns", "lower", "op_ms_p50", "attack-owf (reuse)"),
-    m("attacks.snapshot.builds", "count", "lower", "op_ms_p50, setup_s", "attack-owf"),
-    m("attacks.snapshot.hits", "count", "higher", "op_ms_p50, setup_s", "attack-owf"),
-    m("attacks.snapshot.ms", "ms", "lower", "op_ms_p50, setup_s", "attack-owf"),
-    m(
+    ("vm.fork.calls", "ops_per_cpu_s", "attack-fork, attack-owf"),
+    ("vm.send.ns_per_call", "ops_per_cpu_s", "attack-fork, attack-owf"),
+    ("vm.send.calls", "ops_per_cpu_s", "attack-fork, attack-owf"),
+    ("vm.load.us_per_call", "ops_per_cpu_s, op_cpu_ms_*", "build-run"),
+    ("vm.run.ns_per_kinst", "ops_per_cpu_s, op_cpu_ms_*", "build-run"),
+    ("vm.run.instructions", "ops_per_cpu_s", "build-run"),
+    ("vm.run.cycles", "ops_per_cpu_s", "build-run"),
+    ("attacks.attacker.ns_per_request", "ops_per_cpu_s", "attack-fork, attack-owf"),
+    ("attacks.boot.ns_per_call", "op_cpu_ms_p50", "attack-owf (reuse)"),
+    ("attacks.snapshot.builds", "op_cpu_ms_p50, setup_s", "attack-owf"),
+    ("attacks.snapshot.hits", "op_cpu_ms_p50, setup_s", "attack-owf"),
+    ("attacks.snapshot.ms", "op_cpu_ms_p50, setup_s", "attack-owf"),
+    // Idle workers cost no CPU time, so the pool's parallelism shows in
+    // the wall-clock line of an untraced run, not in its metrics.
+    (
         "attacks.pool.efficiency",
-        "ratio",
-        "higher",
-        "ops_per_s",
+        "wall-clock requests_per_s",
         "attack-fork (shard 64), attack-owf (shard 1)",
     ),
-    m("attacks.pool.useful_ratio", "ratio", "higher", "ops_per_s", "attack-owf"),
-    m("compiler.O0.us_per_call", "us", "lower", "ops_per_s", "build-run (not attack-fork)"),
-    m("compiler.O2.us_per_call", "us", "lower", "ops_per_s", "build-run (not attack-fork)"),
-    m("compiler.code_bytes", "bytes", "lower", "ops_per_s", "build-run"),
-    m("rewriter.us_per_call", "us", "lower", "ops_per_s", "build-run"),
-    m("rewriter.sites_patched", "count", "lower", "ops_per_s", "build-run"),
-    m("verifier.us_per_call", "us", "lower", "ops_per_s", "build-run"),
-    m("verifier.findings", "count", "lower", "ops_per_s", "build-run"),
-    m(
-        "crypto.aes.ns_per_frame",
-        "ns",
-        "lower",
-        "ops_per_s",
-        "attack-owf; build-run (not attack-fork)",
-    ),
-    m("export.us_per_call", "us", "lower", "op_ms_p50", "all"),
-    m("export.bytes", "bytes", "lower", "op_ms_p50", "all"),
-    m("trace.overhead_ratio", "ratio", "higher", "none (benchmark health)", "all"),
-    m("trace.coverage", "ratio", "higher", "none (benchmark health)", "all"),
+    ("attacks.pool.useful_ratio", "ops_per_cpu_s", "attack-owf"),
+    ("compiler.O0.us_per_call", "ops_per_cpu_s", "build-run (not attack-fork)"),
+    ("compiler.O2.us_per_call", "ops_per_cpu_s", "build-run (not attack-fork)"),
+    ("compiler.code_bytes", "ops_per_cpu_s", "build-run"),
+    ("rewriter.us_per_call", "ops_per_cpu_s", "build-run"),
+    ("rewriter.sites_patched", "ops_per_cpu_s", "build-run"),
+    ("verifier.us_per_call", "ops_per_cpu_s", "build-run"),
+    ("verifier.findings", "ops_per_cpu_s", "build-run"),
+    ("crypto.aes.ns_per_frame", "ops_per_cpu_s", "attack-owf; build-run (not attack-fork)"),
+    ("export.us_per_call", "op_cpu_ms_p50", "all"),
+    ("export.bytes", "op_cpu_ms_p50", "all"),
+    ("trace.overhead_ratio", "none (benchmark health)", "all"),
+    ("trace.coverage", "none (benchmark health)", "all"),
 ];
 
 /// Accumulated time and call count of one layer.

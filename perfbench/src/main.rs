@@ -7,9 +7,11 @@
 //! ```
 //!
 //! With `--trace 0` the run measures the end-to-end metrics for `S`
-//! seconds: set-up time (median of several set-ups), throughput, the median
-//! and p90 of each operation's wall time with its sample count, and peak
-//! memory.  With `--trace 1` it replays a fixed, seed-determined share of
+//! seconds: set-up time (median of many set-ups), throughput, the median
+//! and p90 of each operation's time with its sample count, and peak memory.
+//! Times are process CPU time, which leaves out the hypervisor's steal; the
+//! wall-clock throughput and percentiles are printed beside them as a
+//! diagnostic.  With `--trace 1` it replays a fixed, seed-determined share of
 //! the workload with timers around every call into a layer's public
 //! functions and reports the per-layer metrics, the tracing overhead and
 //! the deterministic counters.  Every output is checked against a known
@@ -22,20 +24,15 @@ mod build_run;
 mod layers;
 mod util;
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use attack::Family;
-use layers::LAYER_METRICS;
-use util::{
-    aes_ns_per_frame, host_speed_ms, least_stolen, peak_rss_mib, percentile, steal_jiffies,
-};
+use layers::{declared, LAYER_MOVES};
+use util::{aes_ns_per_frame, cpu_time, host_speed_ms, peak_rss_mib, percentile, steal_jiffies};
 
 const USAGE: &str = "usage: perfbench --workload attack-fork|attack-owf|build-run --seed N \
                      --seconds S --trace 0|1";
-
-/// Set-ups timed per run; `setup_s` is their median.
-const SETUP_REPS: usize = 51;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Workload {
@@ -113,14 +110,31 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
 
 /// One reported metric and the note printed after it.
 struct Metric {
-    name: &'static str,
+    name: String,
     value: f64,
-    unit: &'static str,
+    unit: String,
     note: String,
 }
 
-fn metric(name: &'static str, value: f64, unit: &'static str, note: String) -> Metric {
-    Metric { name, value, unit, note }
+/// The metrics of `section` of the declaration, in its order, from the
+/// values and notes a run measured, by name.
+///
+/// # Panics
+///
+/// Panics when the run did not measure a declared metric or measured an
+/// undeclared one.
+fn report(section: &str, mut measured: BTreeMap<&str, (f64, String)>) -> Vec<Metric> {
+    let metrics = declared(section)
+        .into_iter()
+        .map(|(name, unit)| {
+            let (value, note) = measured
+                .remove(name.as_str())
+                .unwrap_or_else(|| panic!("the run did not measure {name}"));
+            Metric { name, value, unit, note }
+        })
+        .collect();
+    assert!(measured.is_empty(), "undeclared metrics: {:?}", measured.keys());
+    metrics
 }
 
 /// A finished run: the JSON fields plus lines printed above them.
@@ -131,87 +145,109 @@ struct Outcome {
     lines: Vec<String>,
 }
 
-/// Times [`SETUP_REPS`] set-ups and returns the last one's output, the
-/// median set-up time in seconds and whether every set-up succeeded.
-fn timed_setup<T>(mut setup: impl FnMut() -> (T, bool)) -> (T, f64, bool) {
-    let mut times = Vec::with_capacity(SETUP_REPS);
-    let mut all_ok = true;
-    let mut last = None;
-    for _ in 0..SETUP_REPS {
-        let started = Instant::now();
-        let (value, ok) = setup();
-        times.push(started.elapsed().as_secs_f64());
-        all_ok &= ok;
-        last = Some(value);
+/// Repeated set-ups of one run and their process CPU times.
+///
+/// The set-up runs once before the timed phase and once more after each of
+/// its cycles or passes, untimed by the phase; `setup_s` is the median.
+/// One set-up takes 0.1–2 ms while the host's speed drifts over seconds, so
+/// the repetitions are spread over the whole run.
+struct Setups<F> {
+    setup: F,
+    seconds: Vec<f64>,
+    all_ok: bool,
+}
+
+impl<T, F: FnMut() -> (T, bool)> Setups<F> {
+    /// Runs the first set-up and returns its output.
+    fn new(setup: F) -> (Self, T) {
+        let mut setups = Setups { setup, seconds: Vec::new(), all_ok: true };
+        let value = setups.once();
+        (setups, value)
     }
-    (last.expect("at least one set-up"), percentile(&times, 0.5), all_ok)
+
+    /// Runs and times one more set-up.
+    fn once(&mut self) -> T {
+        let started = cpu_time();
+        let (value, ok) = (self.setup)();
+        self.seconds.push((cpu_time() - started).as_secs_f64());
+        self.all_ok &= ok;
+        value
+    }
 }
 
 /// The untraced run: set-up, then the timed phase.
 ///
-/// The end-to-end metric names are shared by all workloads: `ops_per_s`
-/// counts requests on the attack workloads and cells on `build-run`, and
-/// `op_ms_p50`/`op_ms_p90` time a campaign or a cell.  The lines printed
-/// above the result name them per workload.  Throughput and percentiles
-/// come from the least-stolen slices of the phase (see
-/// [`util::least_stolen`]); failures count over all of it.
+/// The end-to-end metric names are shared by all workloads: an operation is
+/// a campaign on the attack workloads and a cell on `build-run`, and the
+/// work it does is requests or one cell.  Times are process CPU time (see
+/// [`util::cpu_time`]), so the host's steal does not count; the wall-clock
+/// figures are printed above the result as a diagnostic.
 fn end_to_end(args: &Args) -> Outcome {
     let seconds = args.seconds as f64;
     let mut lines = Vec::new();
-    let (setup_s, setup_ok, op, work_name, slices, failed) = match args.workload {
+    let (setup_seconds, setup_ok, op, work_name, phase, failed) = match args.workload {
         Workload::AttackFork | Workload::AttackOwf => {
             let family = args.workload.family();
-            let ((), setup_s, setup_ok) = timed_setup(|| ((), attack::setup(family, args.seed)));
-            let measured =
-                attack::measure(family, args.seed, attack::Budget::Seconds(seconds), false);
-            (setup_s, setup_ok, "campaign", "requests", measured.slices, measured.failed)
+            let (mut setups, ()) = Setups::new(|| ((), attack::setup(family, args.seed)));
+            let budget = attack::Budget::Seconds(seconds);
+            let measured = attack::measure(family, args.seed, budget, false, &mut || {
+                setups.once();
+            });
+            (setups.seconds, setups.all_ok, "campaign", "requests", measured.phase, measured.failed)
         }
         Workload::BuildRun => {
-            let (suite, setup_s, _) = timed_setup(|| (build_run::setup(args.seed), true));
-            let measured = build_run::measure(&suite, seconds);
+            let (mut setups, suite) = Setups::new(|| (build_run::setup(args.seed), true));
+            let measured = build_run::measure(&suite, seconds, &mut || {
+                setups.once();
+            });
             let mismatches = build_run::reference_mismatches(&suite, &measured);
             lines.push(format!(
                 "reference interpreter (outside the timed phase): {mismatches} cells disagree"
             ));
-            (setup_s, true, "cell", "cells", measured.slices, measured.failed + mismatches)
+            let failed = measured.failed + mismatches;
+            (setups.seconds, setups.all_ok, "cell", "cells", measured.phase, failed)
         }
     };
-    let attempted: u64 = slices.iter().map(|slice| slice.op_ms.len() as u64).sum();
+    let attempted = phase.op_cpu_ms.len() as u64;
     let failed = if setup_ok { failed.min(attempted) } else { attempted };
+    let (work, cpu, wall) = (phase.work, phase.cpu.as_secs_f64(), phase.wall.as_secs_f64());
     lines.push(format!(
         "failed_ratio = {} ({failed} failed / {attempted} {op}s)",
         failed as f64 / attempted as f64
     ));
-    let used = least_stolen(&slices);
-    let steal: u64 = slices.iter().map(|slice| slice.steal).sum();
-    let wall: f64 = used.iter().map(|slice| slice.wall.as_secs_f64()).sum();
-    let work: u64 = used.iter().map(|slice| slice.work).sum();
-    let samples: Vec<f64> = used.iter().flat_map(|slice| slice.op_ms.iter().copied()).collect();
-    let n = samples.len();
     lines.push(format!(
-        "slices: {} of {} used, {} steal-free; steal {steal} jiffies over the phase",
-        used.len(),
-        slices.len(),
-        slices.iter().filter(|slice| slice.steal == 0).count()
+        "wall clock (diagnostic): {work_name}_per_s {}, {op}_ms_p50 {}, {op}_ms_p90 {}; \
+         CPU/wall {:.3}",
+        work as f64 / wall,
+        percentile(&phase.op_wall_ms, 0.5),
+        percentile(&phase.op_wall_ms, 0.9),
+        cpu / wall
     ));
-    let metrics = vec![
-        metric("setup_s", setup_s, "s", format!("median of {SETUP_REPS} set-ups")),
-        metric(
-            "ops_per_s",
-            work as f64 / wall,
-            "1/s",
-            format!("{work_name}_per_s: {work} {work_name} in {wall:.3} s"),
+    let measured = BTreeMap::from([
+        (
+            "setup_s",
+            (
+                percentile(&setup_seconds, 0.5),
+                format!("median CPU time of {} set-ups", setup_seconds.len()),
+            ),
         ),
-        metric("op_ms_p50", percentile(&samples, 0.5), "ms", format!("{op}_ms_p50, n={n} {op}s")),
-        metric("op_ms_p90", percentile(&samples, 0.9), "ms", format!("{op}_ms_p90, n={n} {op}s")),
-        metric("peak_rss_mib", peak_rss_mib(), "MiB", "VmHWM".to_string()),
-    ];
-    Outcome { attempted, failed, metrics, lines }
+        ("ops_per_cpu_s", (work as f64 / cpu, format!("{work} {work_name} in {cpu:.3} CPU s"))),
+        (
+            "op_cpu_ms_p50",
+            (percentile(&phase.op_cpu_ms, 0.5), format!("CPU ms per {op}, n={attempted} {op}s")),
+        ),
+        (
+            "op_cpu_ms_p90",
+            (percentile(&phase.op_cpu_ms, 0.9), format!("CPU ms per {op}, n={attempted} {op}s")),
+        ),
+        ("peak_rss_mib", (peak_rss_mib(), "VmHWM".to_string())),
+    ]);
+    Outcome { attempted, failed, metrics: report("end_to_end", measured), lines }
 }
 
 /// Trace sizes per `--seconds`: attack cycles and build-run cells.
 const FORK_CYCLES_PER_S: usize = 3;
-const OWF_CYCLES_PER_S: usize = 9;
+const OWF_CYCLES_PER_S: usize = 4;
 const CELLS_PER_S: usize = 1_000;
 /// Layer probes for the layers a workload does not exercise.
 const PROBE_CYCLES: usize = 1;
@@ -247,20 +283,20 @@ fn traced(args: &Args) -> Outcome {
         values.entry(name).or_insert(value);
     }
     values.insert("crypto.aes.ns_per_frame", aes_ns_per_frame(args.seed, AES_FRAMES));
-    let metrics = LAYER_METRICS
-        .iter()
-        .map(|layer| {
-            let value = *values
-                .get(layer.name)
-                .unwrap_or_else(|| panic!("traced run did not measure {}", layer.name));
-            let note = format!("{} is better; moves {} on {}", layer.better, layer.moves, layer.on);
-            metric(layer.name, value, layer.unit, note)
+    let measured = values
+        .into_iter()
+        .map(|(name, value)| {
+            let (_, moves, on) = LAYER_MOVES
+                .iter()
+                .find(|(layer, _, _)| *layer == name)
+                .unwrap_or_else(|| panic!("no end-to-end metric named for {name}"));
+            (name, (value, format!("moves {moves} on {on}")))
         })
         .collect();
     Outcome {
         attempted: main.attempted + probe.attempted,
         failed: main.failed + probe.failed,
-        metrics,
+        metrics: report("per_layer", measured),
         lines,
     }
 }

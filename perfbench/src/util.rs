@@ -1,5 +1,5 @@
 //! Small helpers shared by the workloads: seed derivation, order
-//! statistics, the host-speed probe and peak memory.
+//! statistics, the clocks, the host-speed probe and peak memory.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -58,33 +58,57 @@ pub fn host_speed_ms() -> (f64, f64) {
     (alu, ms(started.elapsed()))
 }
 
-/// One slice of a timed phase: a cycle of campaigns or a pass of cells.
-#[derive(Debug, Default)]
-pub struct Slice {
-    pub wall: Duration,
-    /// Requests (attack workloads) or cells (`build-run`) completed.
-    pub work: u64,
-    /// Wall time of each operation, a campaign or a cell, in ms.
-    pub op_ms: Vec<f64>,
-    /// Host steal during the slice, in jiffies.
-    pub steal: u64,
+/// Process CPU time so far, all threads included (`CLOCK_PROCESS_CPUTIME_ID`).
+///
+/// On a virtual machine whose hypervisor accounts steal time to the guest
+/// (paravirtual steal clock) this leaves out the time the host ran another
+/// tenant while a thread of this process wanted to run; on the shared
+/// two-vCPU hosts this benchmark was written on, that steal swings between
+/// 0 and over half of the wall time from one minute to the next.
+pub fn cpu_time() -> Duration {
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, now: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut now = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `now` is a valid, writable timespec for the call's duration.
+    let status = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut now) };
+    assert_eq!(status, 0, "the process CPU clock is readable");
+    Duration::new(now.sec as u64, now.nsec as u32)
 }
 
-/// The slices the end-to-end metrics are computed from: every steal-free
-/// slice, or, when those are fewer than half, the half with the least
-/// steal per second (ties in time order).
-///
-/// On a shared host the hypervisor can take a quarter of the CPU time for
-/// minutes at a time; wall-clock figures then measure the neighbours, not
-/// the program.  A slowdown in the program shows in every slice alike, so
-/// leaving out the most-stolen slices hides none of it.
-pub fn least_stolen(slices: &[Slice]) -> Vec<&Slice> {
-    let rate = |slice: &&Slice| slice.steal as f64 / slice.wall.as_secs_f64();
-    let mut order: Vec<&Slice> = slices.iter().collect();
-    order.sort_by(|a, b| rate(a).total_cmp(&rate(b)));
-    let clean = order.iter().take_while(|slice| slice.steal == 0).count();
-    order.truncate(clean.max(slices.len().div_ceil(2)));
-    order
+/// What a timed phase measured, one operation (a campaign or a cell) at a
+/// time.
+#[derive(Debug, Default)]
+pub struct Phase {
+    /// Requests (attack workloads) or cells (`build-run`) completed.
+    pub work: u64,
+    /// Process CPU time and wall time of all operations.
+    pub cpu: Duration,
+    pub wall: Duration,
+    /// CPU time and wall time of each operation, in ms.
+    pub op_cpu_ms: Vec<f64>,
+    pub op_wall_ms: Vec<f64>,
+}
+
+impl Phase {
+    /// Times `op`, which returns the work it completed.
+    pub fn time<T>(&mut self, op: impl FnOnce() -> (T, u64)) -> T {
+        let (wall, cpu) = (Instant::now(), cpu_time());
+        let (value, work) = op();
+        let (cpu, wall) = (cpu_time() - cpu, wall.elapsed());
+        self.work += work;
+        self.cpu += cpu;
+        self.wall += wall;
+        self.op_cpu_ms.push(ms(cpu));
+        self.op_wall_ms.push(ms(wall));
+        value
+    }
 }
 
 /// Jiffies (1/100 s) the hypervisor ran something else while one of this
