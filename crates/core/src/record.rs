@@ -410,16 +410,23 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest object/array nesting the parser accepts.  Exported envelopes
+/// nest a handful of levels; the limit keeps hostile input (say, a file of
+/// 200,000 `[`) from overflowing the stack of the recursive descent.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Recursive-descent parser over the subset of JSON the writers emit (which
 /// is all of JSON except exotic number forms like leading `+`).
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
-        Parser { bytes: input.as_bytes(), pos: 0 }
+        Parser { bytes: input.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
@@ -464,8 +471,19 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.parse_record().map(Value::Record),
-            Some(b'[') => self.parse_list(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(self.error(format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_record().map(Value::Record)
+                } else {
+                    self.parse_list()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => self.parse_string().map(Value::Str),
             Some(b't') | Some(b'f') => {
                 if self.eat_keyword("true") {

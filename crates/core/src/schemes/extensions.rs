@@ -4,7 +4,7 @@ use polycanary_crypto::{Prng, Xoshiro256StarStar};
 use polycanary_vm::cpu::Cpu;
 use polycanary_vm::inst::Inst;
 use polycanary_vm::machine::{NoHooks, RuntimeHooks};
-use polycanary_vm::process::Process;
+use polycanary_vm::process::{OwfKey, Process};
 use polycanary_vm::reg::Reg;
 use polycanary_vm::tls::TLS_CANARY_OFFSET;
 
@@ -243,7 +243,7 @@ struct OwfRuntime {
 impl RuntimeHooks for OwfRuntime {
     fn on_startup(&mut self, process: &mut Process, cpu: &mut Cpu) {
         let key = (self.rng.next_u64(), self.rng.next_u64());
-        process.owf_key = Some(key);
+        process.owf_key = Some(OwfKey::new(key.0, key.1));
         cpu.regs_mut().write(Reg::R12, key.0);
         cpu.regs_mut().write(Reg::R13, key.1);
     }
@@ -349,7 +349,7 @@ mod tests {
         let mut cpu = Cpu::new();
         let mut hooks = PsspOwfScheme.runtime_hooks(11);
         hooks.on_startup(&mut p, &mut cpu);
-        let key = p.owf_key.expect("key must be installed");
+        let key = p.owf_key.expect("key must be installed").words();
         assert_eq!(cpu.regs().read(Reg::R12), key.0);
         assert_eq!(cpu.regs().read(Reg::R13), key.1);
         assert_ne!(key, (0, 0));

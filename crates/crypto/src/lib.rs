@@ -68,9 +68,12 @@ pub mod cost {
     pub const RDRAND_CYCLES: u64 = 340;
     /// Cycles consumed by one `rdtsc` instruction.
     pub const RDTSC_CYCLES: u64 = 24;
-    /// Cycles consumed by one AES-128 block encryption via AES-NI
-    /// (ten `aesenc` rounds plus key schedule amortisation; paper: ~272 for
-    /// the whole OWF prologue+epilogue, so a single encryption is ~130).
+    /// Cycles consumed by one AES-128 block encryption via AES-NI, the
+    /// paper's modeled hardware cost (paper: ~272 for the whole OWF
+    /// prologue+epilogue, so a single encryption is ~130).  It does not
+    /// depend on how the host computes the block: the software
+    /// [`Aes128`](crate::aes::Aes128) may get faster or slower without
+    /// moving any simulated cycle count.
     pub const AES_BLOCK_CYCLES: u64 = 130;
     /// Cycles for a register-to-register or register-to-memory move.
     pub const MOV_CYCLES: u64 = 1;

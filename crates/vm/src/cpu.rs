@@ -36,7 +36,7 @@ use polycanary_crypto::Aes128;
 use crate::decode::{DecodedProgram, OpKind};
 use crate::error::{Fault, VmError};
 use crate::inst::{FuncId, Inst};
-use crate::process::Process;
+use crate::process::{OwfKey, Process};
 use crate::program::Program;
 use crate::reg::{Reg, RegisterFile};
 use crate::tls::TLS_DCR_HEAD_OFFSET;
@@ -250,7 +250,7 @@ impl Cpu {
     /// Shared startup sequence: loader-provided key registers for
     /// P-SSP-OWF, then the initial stack and frame pointers.
     fn boot(&mut self, process: &Process) {
-        if let Some((lo, hi)) = process.owf_key {
+        if let Some((lo, hi)) = process.owf_key.as_ref().map(OwfKey::words) {
             self.regs.write(Reg::R12, lo);
             self.regs.write(Reg::R13, hi);
         }
@@ -686,8 +686,7 @@ impl Cpu {
                 let key_hi = self.regs.read(Reg::R13);
                 let ret_addr = process.memory.read_u64(frame_addr(rbp, 8)).map_err(mem_fault)?;
                 let nonce_val = self.regs.read(*nonce);
-                let (lo, hi) =
-                    Aes128::from_words(key_lo, key_hi).encrypt_words(nonce_val, ret_addr);
+                let (lo, hi) = encrypt_frame(process, (key_lo, key_hi), nonce_val, ret_addr);
                 self.regs.write(Reg::Rax, lo);
                 self.regs.write(Reg::Rdx, hi);
             }
@@ -874,8 +873,7 @@ impl Cpu {
                 let key_hi = self.regs.read(Reg::R13);
                 let ret_addr = process.memory.read_u64(frame_addr(rbp, 8)).map_err(mem_fault)?;
                 let nonce_val = self.regs.read(*nonce);
-                let (lo, hi) =
-                    Aes128::from_words(key_lo, key_hi).encrypt_words(nonce_val, ret_addr);
+                let (lo, hi) = encrypt_frame(process, (key_lo, key_hi), nonce_val, ret_addr);
                 self.regs.write(Reg::Rax, lo);
                 self.regs.write(Reg::Rdx, hi);
             }
@@ -942,6 +940,16 @@ fn frame_addr(base: u64, offset: i32) -> u64 {
         base.wrapping_add(offset as u64)
     } else {
         base.wrapping_sub(offset.unsigned_abs() as u64)
+    }
+}
+
+/// `AES_ENCRYPT_128` of `(nonce, ret)` keyed by the `r12:r13` words `key`.
+/// Reuses the process's expanded P-SSP-OWF schedule when `key` is the
+/// key it was built from, and expands `key` afresh otherwise.
+fn encrypt_frame(process: &Process, key: (u64, u64), nonce: u64, ret: u64) -> (u64, u64) {
+    match &process.owf_key {
+        Some(owf) if owf.words() == key => owf.cipher().encrypt_words(nonce, ret),
+        _ => Aes128::from_words(key.0, key.1).encrypt_words(nonce, ret),
     }
 }
 
@@ -1159,30 +1167,83 @@ mod tests {
         assert!(cpu.regs().read(Reg::Rbx) > cpu.regs().read(Reg::Rcx));
     }
 
-    #[test]
-    fn aes_encrypt_frame_is_deterministic_given_state() {
-        let mut prog = Program::new();
-        let insts = vec![
+    /// `(rax, rdx)` after one `AesEncryptFrame` with nonce 1234 under the
+    /// OWF key `(111, 222)`: the byte-wise AES of earlier releases computed
+    /// exactly these words, so a fast path that is consistently wrong fails.
+    const OWF_FRAME_OUTPUT: (u64, u64) = (0x58b7_ed6a_d901_5c1e, 0x4c27_8f59_6135_d047);
+
+    /// An entry function that runs `prefix`, then one `AesEncryptFrame` with
+    /// nonce 1234 over the frame whose return address is the sentinel.
+    fn owf_frame_program(prefix: Vec<Inst>) -> (Program, FuncId) {
+        let mut insts = vec![
             Inst::PushReg(Reg::Rbp),
             Inst::MovRegReg { dst: Reg::Rbp, src: Reg::Rsp },
             Inst::MovImmToReg { dst: Reg::Rcx, imm: 1234 },
-            Inst::AesEncryptFrame { nonce: Reg::Rcx },
-            Inst::Leave,
-            Inst::Ret,
         ];
+        insts.extend(prefix);
+        insts.extend([Inst::AesEncryptFrame { nonce: Reg::Rcx }, Inst::Leave, Inst::Ret]);
+        let mut prog = Program::new();
         let f = prog.add_function("owf", insts).unwrap();
         prog.set_entry(f);
         prog.finalize();
+        (prog, f)
+    }
 
-        let run = || {
-            let mut p = fresh_process();
-            p.owf_key = Some((111, 222));
+    /// Runs `prog` on copies of `process` through both dispatchers, checks
+    /// they agree and returns `(rax, rdx)`.
+    fn owf_frame_output(prog: &Program, f: FuncId, process: &Process) -> (u64, u64) {
+        let outputs = [false, true].map(|reference| {
+            let mut p = process.clone();
             let mut cpu = Cpu::new();
-            let exit = cpu.run(&prog, &mut p, f, &ExecConfig::default());
+            let exit = if reference {
+                cpu.run_reference(prog, &mut p, f, &ExecConfig::default())
+            } else {
+                cpu.run(prog, &mut p, f, &ExecConfig::default())
+            };
             assert!(exit.is_normal());
             (cpu.regs().read(Reg::Rax), cpu.regs().read(Reg::Rdx))
-        };
-        assert_eq!(run(), run());
+        });
+        assert_eq!(outputs[0], outputs[1], "run and run_reference disagree");
+        outputs[0]
+    }
+
+    fn owf_process() -> Process {
+        let mut p = fresh_process();
+        p.owf_key = Some(OwfKey::new(111, 222));
+        p
+    }
+
+    #[test]
+    fn aes_encrypt_frame_is_deterministic_given_state() {
+        let (prog, f) = owf_frame_program(vec![]);
+        let p = owf_process();
+        assert_eq!(owf_frame_output(&prog, f, &p), OWF_FRAME_OUTPUT);
+        assert_eq!(
+            Aes128::from_words(111, 222).encrypt_words(1234, RETURN_SENTINEL),
+            OWF_FRAME_OUTPUT
+        );
+    }
+
+    #[test]
+    fn aes_encrypt_frame_keys_by_registers_not_cached_key() {
+        // A program that overwrites r12:r13 gets AES under the new words,
+        // not the process's cached schedule.
+        let (prog, f) = owf_frame_program(vec![
+            Inst::MovImmToReg { dst: Reg::R12, imm: 333 },
+            Inst::MovImmToReg { dst: Reg::R13, imm: 444 },
+        ]);
+        let expected = Aes128::from_words(333, 444).encrypt_words(1234, RETURN_SENTINEL);
+        assert_eq!(owf_frame_output(&prog, f, &owf_process()), expected);
+        assert_ne!(expected, OWF_FRAME_OUTPUT);
+    }
+
+    #[test]
+    fn aes_encrypt_frame_in_forked_child_matches_parent() {
+        let (prog, f) = owf_frame_program(vec![]);
+        let mut parent = owf_process();
+        let child = parent.fork(Pid(2));
+        assert_eq!(owf_frame_output(&prog, f, &child), OWF_FRAME_OUTPUT);
+        assert_eq!(owf_frame_output(&prog, f, &parent), OWF_FRAME_OUTPUT);
     }
 
     #[test]

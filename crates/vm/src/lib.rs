@@ -58,7 +58,7 @@ pub use error::{Fault, VmError};
 pub use inst::{FuncId, Inst};
 pub use machine::{Machine, NoHooks, RunStats, RuntimeHooks};
 pub use mem::Memory;
-pub use process::{Pid, Process};
+pub use process::{OwfKey, Pid, Process};
 pub use program::Program;
 pub use reg::{Reg, RegisterFile};
 pub use snapshot::Snapshot;

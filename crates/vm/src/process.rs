@@ -6,7 +6,7 @@
 //! the memory image (stack + globals), the TLS block, the per-process
 //! hardware entropy devices and the attacker-facing input/output channels.
 
-use polycanary_crypto::{HardwareRng, TimeStampCounter};
+use polycanary_crypto::{Aes128, HardwareRng, TimeStampCounter};
 
 use crate::mem::Memory;
 use crate::tls::Tls;
@@ -18,6 +18,37 @@ pub struct Pid(pub u64);
 impl std::fmt::Display for Pid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "pid {}", self.0)
+    }
+}
+
+/// The P-SSP-OWF key the startup hook parks in `r12:r13`, kept together
+/// with its expanded AES key schedule.
+///
+/// A victim's key is fixed from startup on and forked children inherit it,
+/// so expanding it once per victim spares every `AesEncryptFrame` the key
+/// schedule.  The instruction still keys AES with whatever `r12:r13` hold:
+/// it takes [`OwfKey::cipher`] only when the registers equal
+/// [`OwfKey::words`].
+#[derive(Debug, Clone)]
+pub struct OwfKey {
+    words: (u64, u64),
+    cipher: Aes128,
+}
+
+impl OwfKey {
+    /// The key `(r12, r13)` and its expanded schedule.
+    pub fn new(lo: u64, hi: u64) -> Self {
+        OwfKey { words: (lo, hi), cipher: Aes128::from_words(lo, hi) }
+    }
+
+    /// The key words `(r12, r13)`.
+    pub fn words(&self) -> (u64, u64) {
+        self.words
+    }
+
+    /// The cipher keyed by [`OwfKey::words`].
+    pub fn cipher(&self) -> &Aes128 {
+        &self.cipher
     }
 }
 
@@ -45,7 +76,7 @@ pub struct Process {
     pub dcr_list: Vec<u64>,
     /// AES key parked in the callee-saved registers `r12:r13` by the
     /// P-SSP-OWF startup hook; `None` for all other schemes.
-    pub owf_key: Option<(u64, u64)>,
+    pub owf_key: Option<OwfKey>,
     input: Vec<u8>,
     output: Vec<u8>,
     /// Number of times this process has forked children.
@@ -110,7 +141,7 @@ impl Process {
             tsc: self.tsc.clone(),
             canary_addresses: self.canary_addresses.clone(),
             dcr_list: self.dcr_list.clone(),
-            owf_key: self.owf_key,
+            owf_key: self.owf_key.clone(),
             input: Vec::new(),
             output: Vec::new(),
             forks: 0,
@@ -238,10 +269,10 @@ mod tests {
         let mut parent = Process::new(Pid(1), 1, DEFAULT_STACK_SIZE);
         parent.canary_addresses.push(0x7fff_0000);
         parent.dcr_list.push(0x7fff_0008);
-        parent.owf_key = Some((1, 2));
+        parent.owf_key = Some(OwfKey::new(1, 2));
         let child = parent.fork(Pid(2));
         assert_eq!(child.canary_addresses, vec![0x7fff_0000]);
         assert_eq!(child.dcr_list, vec![0x7fff_0008]);
-        assert_eq!(child.owf_key, Some((1, 2)));
+        assert_eq!(child.owf_key.map(|k| k.words()), Some((1, 2)));
     }
 }

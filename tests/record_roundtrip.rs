@@ -5,7 +5,9 @@
 //! workspace could verify one.)
 
 use polycanary::attacks::{AttackKind, Campaign, StopRule};
-use polycanary::core::record::{records_from_json, records_to_json, Record, Value};
+use polycanary::core::record::{
+    records_from_json, records_to_json, Envelope, Record, Value, MAX_JSON_DEPTH,
+};
 use polycanary::core::SchemeKind;
 
 #[test]
@@ -78,4 +80,25 @@ fn parsed_export_equals_reserialized_export() {
     let json = report.record().to_json();
     let reparsed = Record::from_json(&json).expect("parses");
     assert_eq!(reparsed.to_json(), json);
+}
+
+#[test]
+fn hostile_nesting_is_a_parse_error_not_a_stack_overflow() {
+    let deep = "[".repeat(200_000);
+    let err = Value::from_json(&deep).expect_err("200,000 open brackets must not parse");
+    assert!(err.message.contains("nesting"), "{err}");
+    assert_eq!(err.offset, MAX_JSON_DEPTH);
+
+    let deep_object = "{\"a\":".repeat(200_000);
+    assert!(Record::from_json(&deep_object).is_err());
+    assert!(records_from_json(&format!("[{deep_object}")).is_err());
+    assert!(Envelope::from_json(&deep_object).is_err());
+}
+
+#[test]
+fn nesting_up_to_the_limit_still_parses() {
+    let at_limit = format!("{}{}", "[".repeat(MAX_JSON_DEPTH), "]".repeat(MAX_JSON_DEPTH));
+    assert!(Value::from_json(&at_limit).is_ok());
+    let over = format!("[{at_limit}]");
+    assert!(Value::from_json(&over).is_err());
 }

@@ -25,7 +25,7 @@ use polycanary::core::SchemeKind;
 use polycanary::rewriter::LinkMode;
 use polycanary::vm::mem::DEFAULT_STACK_SIZE;
 use polycanary::vm::{
-    Cpu, ExecConfig, FuncId, Inst, Machine, Pid, Process, Program, Reg, RunOutcome,
+    Cpu, ExecConfig, FuncId, Inst, Machine, OwfKey, Pid, Process, Program, Reg, RunOutcome,
 };
 use polycanary::workloads::{build_machine, spec_suite, Build};
 
@@ -134,7 +134,7 @@ fn observe(
 ) -> (RunOutcome, Vec<u8>, Vec<u64>, Vec<u64>) {
     let mut p = Process::new(Pid(1), seed, DEFAULT_STACK_SIZE);
     p.tls.set_canary(seed ^ 0xD00D_F00D_0DD5_EED5);
-    p.owf_key = Some((seed, seed.rotate_left(13)));
+    p.owf_key = Some(OwfKey::new(seed, seed.rotate_left(13)));
     p.set_input(vec![0x41u8; input_len]);
     let mut cpu = Cpu::new();
     let exit = if reference {
