@@ -22,6 +22,14 @@
 //! served, requests handled, workers crashed — which the `server-attack`
 //! experiment exports and the test battery pins.
 //!
+//! The server keeps one worker process for its whole lifetime and forks
+//! every connection into it (`Machine::fork_into`) instead of building a
+//! new process per connection: the worker's buffers are reused and its
+//! memory gets back only the bytes the previous connection wrote.  The
+//! worker a connection sees — memory, TLS, canaries, entropy streams, pids
+//! and counters — is the same as a fresh fork's; only the allocation work
+//! is saved.
+//!
 //! # Example
 //!
 //! ```
@@ -35,7 +43,6 @@
 //! let mut conn = server.connect();
 //! assert!(conn.send(b"GET / HTTP/1.1").survived());
 //! assert!(conn.send(b"GET /again").survived());
-//! drop(conn);
 //! assert_eq!(server.connections_served(), 1);
 //! assert_eq!(server.requests_served(), 2);
 //! ```
@@ -56,6 +63,10 @@ pub use crate::victim::{Deployment, FrameGeometry, VictimConfig, HIJACK_TARGET};
 pub struct ForkingServer {
     machine: Machine,
     parent: Process,
+    /// The worker process every connection forks into: recycled rather
+    /// than dropped, so a fork restores only the bytes the previous
+    /// connection wrote.
+    worker: Process,
     geometry: FrameGeometry,
     config: VictimConfig,
     policy: ForkCanaryPolicy,
@@ -112,6 +123,7 @@ impl ForkingServer {
         ForkingServer {
             machine,
             parent,
+            worker: Process::blank(),
             geometry: victim.geometry(),
             config,
             policy: runtime_scheme.fork_canary_policy(),
@@ -164,8 +176,8 @@ impl ForkingServer {
     /// is exactly the loop the byte-by-byte attack exploits.
     pub fn connect(&mut self) -> Connection<'_> {
         self.connections += 1;
-        let worker = self.machine.fork(&mut self.parent);
-        Connection { server: self, worker, open: true }
+        self.machine.fork_into(&mut self.parent, &mut self.worker);
+        Connection { server: self, open: true }
     }
 
     /// Serves one request on a fresh single-request connection — the
@@ -223,10 +235,10 @@ impl ForkingServer {
         self.machine.forks()
     }
 
-    fn run_in(&mut self, worker: &mut Process, endpoint: FuncId, payload: &[u8]) -> RequestOutcome {
+    fn run_in(&mut self, endpoint: FuncId, payload: &[u8]) -> RequestOutcome {
         self.requests += 1;
-        worker.set_input(payload.to_vec());
-        let outcome = self.machine.run_function_id(worker, endpoint);
+        self.worker.set_input_from_slice(payload);
+        let outcome = self.machine.run_function_id(&mut self.worker, endpoint);
         let classified = classify(outcome.exit);
         if classified != RequestOutcome::Survived {
             self.crashed_workers += 1;
@@ -255,7 +267,6 @@ impl OverflowOracle for ForkingServer {
 #[derive(Debug)]
 pub struct Connection<'s> {
     server: &'s mut ForkingServer,
-    worker: Process,
     open: bool,
 }
 
@@ -274,7 +285,7 @@ impl Connection<'_> {
             return RequestOutcome::Crashed;
         }
         let endpoint = self.server.handle_fn;
-        let outcome = self.server.run_in(&mut self.worker, endpoint, payload);
+        let outcome = self.server.run_in(endpoint, payload);
         if outcome != RequestOutcome::Survived {
             self.open = false;
         }
@@ -288,8 +299,8 @@ impl Connection<'_> {
             return (RequestOutcome::Crashed, Vec::new());
         }
         let endpoint = self.server.leak_fn;
-        let outcome = self.server.run_in(&mut self.worker, endpoint, payload);
-        let leaked = self.worker.take_output();
+        let outcome = self.server.run_in(endpoint, payload);
+        let leaked = self.server.worker.take_output();
         if outcome != RequestOutcome::Survived {
             self.open = false;
         }
@@ -400,7 +411,6 @@ mod tests {
             assert_eq!(conn.send(b"ping"), RequestOutcome::Survived);
             assert!(conn.is_open());
         }
-        drop(conn);
         assert_eq!(server.connections_served(), 1, "keep-alive reuses one worker");
         assert_eq!(server.requests_served(), 5);
         assert_eq!(server.forked_workers(), 1);
@@ -416,7 +426,6 @@ mod tests {
         // The worker is gone; the attacker only sees resets from now on.
         assert_eq!(conn.send(b"hello?"), RequestOutcome::Crashed);
         assert_eq!(conn.send_leak(b"status").0, RequestOutcome::Crashed);
-        drop(conn);
         // The refused requests never reached a worker.
         assert_eq!(server.requests_served(), 1);
         assert_eq!(server.crashed_workers(), 1);
@@ -444,6 +453,75 @@ mod tests {
         assert_eq!(pssp.canary_policy(), ForkCanaryPolicy::Rerandomized);
     }
 
+    /// The reference connection: the worker is a new process returned by
+    /// [`Machine::fork`] instead of the recycled one.
+    fn connect_fresh(server: &mut ForkingServer) -> Connection<'_> {
+        server.connections += 1;
+        server.worker = server.machine.fork(&mut server.parent);
+        Connection { server, open: true }
+    }
+
+    #[test]
+    fn recycled_workers_match_fresh_forks() {
+        use polycanary_crypto::{Prng, SplitMix64};
+
+        for scheme in SchemeKind::ALL {
+            for deployment in [Deployment::Compiler, Deployment::BinaryRewriter] {
+                let config =
+                    VictimConfig::new(scheme, 0x5EC + scheme as u64).with_deployment(deployment);
+                let (mut recycled, mut fresh) =
+                    (ForkingServer::new(config), ForkingServer::new(config));
+                let geometry = recycled.geometry();
+                let mut rng = SplitMix64::new(0xD1FF ^ scheme as u64);
+                let mut seen = Vec::new();
+                for connection in 0..40 {
+                    let label = format!("{scheme} {deployment:?} connection {connection}");
+                    let (mut a, mut b) = (recycled.connect(), connect_fresh(&mut fresh));
+                    let (wa, wb) = (&a.server.worker, &b.server.worker);
+                    assert!(wa.memory == wb.memory, "{label}: forked memory differs");
+                    assert_eq!(wa.tls, wb.tls, "{label}");
+                    // One to three requests per connection (keep-alive
+                    // follow-ups), until the worker dies.
+                    for _ in 0..1 + rng.next_below(3) {
+                        // Benign, a full overwrite, a partial one into the
+                        // canary region, or a crafted hijack.
+                        let len = match rng.next_below(4) {
+                            0 => 1 + rng.next_below(geometry.filler_len as u64) as usize,
+                            1 => geometry.full_overwrite_len(),
+                            _ => geometry.filler_len + 1 + rng.next_below(24) as usize,
+                        };
+                        let mut payload = vec![0u8; len];
+                        rng.fill_bytes(&mut payload);
+                        if rng.next_below(8) == 0 {
+                            payload =
+                                vec![0x41; geometry.filler_len + geometry.canary_region_len + 8];
+                            payload.extend_from_slice(&HIJACK_TARGET.to_le_bytes());
+                        }
+                        let (got, want) = if rng.next_below(3) == 0 {
+                            (a.send_leak(&payload), b.send_leak(&payload))
+                        } else {
+                            ((a.send(&payload), Vec::new()), (b.send(&payload), Vec::new()))
+                        };
+                        assert_eq!(got, want, "{label}");
+                        if !seen.contains(&got.0) {
+                            seen.push(got.0);
+                        }
+                        let (wa, wb) = (&a.server.worker, &b.server.worker);
+                        assert!(wa.memory == wb.memory, "{label}: worker memory differs");
+                        assert_eq!(wa.tls, wb.tls, "{label}");
+                        assert_eq!(wa.canary_addresses, wb.canary_addresses, "{label}");
+                        assert_eq!(wa.dcr_list, wb.dcr_list, "{label}");
+                        assert_eq!(a.is_open(), b.is_open(), "{label}");
+                    }
+                    assert_eq!(recycled.stats_record(), fresh.stats_record(), "{label}");
+                }
+                // The sequence reached both a surviving and a dying worker.
+                assert!(seen.contains(&RequestOutcome::Survived), "{scheme} {seen:?}");
+                assert!(seen.len() >= 2, "{scheme} {deployment:?} {seen:?}");
+            }
+        }
+    }
+
     #[test]
     fn stats_record_reports_the_operational_counters() {
         use polycanary_core::record::Value;
@@ -453,7 +531,6 @@ mod tests {
         let mut conn = server.connect();
         let _ = conn.send(b"b");
         let _ = conn.send(b"c");
-        drop(conn);
         let rec = server.stats_record();
         assert_eq!(rec.get("scheme"), Some(&Value::Str("SSP".into())));
         assert_eq!(rec.get("fork_canary_policy"), Some(&Value::Str("inherited".into())));

@@ -2,7 +2,9 @@
 //!
 //! The whole point of the snapshot layer is that booting the Nth server of
 //! a configuration skips the compile/rewrite pipeline: `restore` should
-//! beat `rebuild` by a wide margin on every deployment vehicle.
+//! beat `rebuild` by a wide margin on every deployment vehicle.  The
+//! `request` arm times what a booted server then does per attack request:
+//! `connect` (fork into the recycled worker), one `send`, and the drop.
 
 use std::time::Duration;
 
@@ -38,6 +40,16 @@ fn bench(c: &mut Criterion) {
             b.iter(|| ForkingServer::from_snapshot(snapshot, 0xF1EE7))
         });
     }
+
+    // One attack request on a booted P-SSP server: fork a worker, serve one
+    // request, drop the connection.
+    let mut server = ForkingServer::new(VictimConfig::new(SchemeKind::Pssp, 0xF1EE7));
+    group.bench_function("request", |b| {
+        b.iter(|| {
+            let mut conn = server.connect();
+            conn.send(b"GET / HTTP/1.1")
+        })
+    });
     group.finish();
 }
 

@@ -552,13 +552,11 @@ impl<'a> Parser<'a> {
 
     /// Reads the four hex digits of a `\u` escape starting at `start`.
     fn hex_escape(&self, start: usize) -> Result<u32, ParseError> {
-        let hex = self
-            .bytes
-            .get(start..start + 4)
-            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
-            .and_then(|h| std::str::from_utf8(h).ok())
-            .ok_or_else(|| self.error("truncated \\u escape"))?;
-        u32::from_str_radix(hex, 16).map_err(|_| self.error("invalid \\u escape"))
+        let hex =
+            self.bytes.get(start..start + 4).ok_or_else(|| self.error("truncated \\u escape"))?;
+        hex.iter()
+            .try_fold(0u32, |code, &digit| Some(code << 4 | char::from(digit).to_digit(16)?))
+            .ok_or_else(|| self.error("invalid \\u escape"))
     }
 
     fn parse_string(&mut self) -> Result<String, ParseError> {

@@ -252,8 +252,7 @@ impl RuntimeHooks for DcrRuntime {
     fn on_fork_child(&mut self, child: &mut Process) {
         let new_canary = self.rng.next_u64();
         child.tls.set_canary(new_canary);
-        let list = child.dcr_list.clone();
-        for addr in list {
+        for &addr in &child.dcr_list {
             let _ = child.memory.write_u64(addr, new_canary);
         }
     }

@@ -140,6 +140,19 @@ mod tests {
     }
 
     #[test]
+    fn split_draws_are_pinned() {
+        // First draws of a parent and of three successive split children,
+        // as the authors' 256-step jump produces them.
+        let mut parent = HardwareRng::new(0x5EED);
+        let mut children: Vec<HardwareRng> = (0..3).map(|_| parent.split()).collect();
+        let draws = |hw: &mut HardwareRng| [hw.rdrand().unwrap().0, hw.rdrand().unwrap().0];
+        assert_eq!(draws(&mut parent), [0x1458_6A38_26DC_BB7A, 0xF647_48BF_DD63_8A6C]);
+        assert_eq!(draws(&mut children[0]), [0x2C0D_84E8_8CC4_CA76, 0x2824_9BE4_D79C_B5EB]);
+        assert_eq!(draws(&mut children[1]), [0xB68E_0BC9_33CF_4924, 0x1CA1_A02C_B2D1_5A40]);
+        assert_eq!(draws(&mut children[2]), [0xA80D_51A1_C907_6022, 0x22CC_19E9_FCDB_6710]);
+    }
+
+    #[test]
     fn split_streams_do_not_collide() {
         let mut parent = HardwareRng::new(11);
         let mut child = parent.split();

@@ -120,29 +120,21 @@ impl Xoshiro256StarStar {
 
     /// Jump function equivalent to 2^128 calls of `next_u64`, useful for
     /// splitting one seed into independent per-process streams.
+    ///
+    /// The jump is GF(2)-linear in the 256-bit state, so it is the XOR of
+    /// one `JUMP_TABLE` entry per state nibble: 64 lookups instead of the
+    /// 256 dependent generator steps of the jump polynomial.
     pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ];
-        let mut s0 = 0u64;
-        let mut s1 = 0u64;
-        let mut s2 = 0u64;
-        let mut s3 = 0u64;
-        for jump_word in JUMP {
-            for bit in 0..64 {
-                if (jump_word & (1u64 << bit)) != 0 {
-                    s0 ^= self.s[0];
-                    s1 ^= self.s[1];
-                    s2 ^= self.s[2];
-                    s3 ^= self.s[3];
+        let mut acc = [0u64; 4];
+        for (w, &word) in self.s.iter().enumerate() {
+            for n in 0..16 {
+                let image = &JUMP_TABLE[w * 16 + n][((word >> (4 * n)) & 0xF) as usize];
+                for (a, i) in acc.iter_mut().zip(image) {
+                    *a ^= i;
                 }
-                let _ = self.next_u64();
             }
         }
-        self.s = [s0, s1, s2, s3];
+        self.s = acc;
     }
 
     /// Creates an independent stream for a child process: the child keeps the
@@ -153,6 +145,70 @@ impl Xoshiro256StarStar {
         self.jump();
         child
     }
+}
+
+/// The xoshiro256 jump polynomial (2^128 steps), from the authors'
+/// reference code: bit `i` selects the state after `i` steps.
+const JUMP: [u64; 4] =
+    [0x180E_C6D3_3CFD_0ABA, 0xD5A6_1266_F0C9_392C, 0xA958_2618_E03F_C9AA, 0x39AB_DC45_29B1_661C];
+
+/// One xoshiro256 state transition, the linear part of `next_u64`.
+const fn step(mut s: [u64; 4]) -> [u64; 4] {
+    let t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = s[3].rotate_left(45);
+    s
+}
+
+/// The jump of `s`, by evaluating [`JUMP`] over 256 steps.
+const fn jump_by_steps(mut s: [u64; 4]) -> [u64; 4] {
+    let mut acc = [0u64; 4];
+    let mut i = 0;
+    while i < 256 {
+        if (JUMP[i / 64] >> (i % 64)) & 1 != 0 {
+            let mut w = 0;
+            while w < 4 {
+                acc[w] ^= s[w];
+                w += 1;
+            }
+        }
+        s = step(s);
+        i += 1;
+    }
+    acc
+}
+
+/// `JUMP_TABLE[p][v]` is the jump of the state whose nibble `p` (bits
+/// `4p..4p + 4` of `s[p / 16]`) holds `v` and whose other bits are zero:
+/// 64 × 16 × 4 words (32 KiB), computed at compile time.
+static JUMP_TABLE: [[[u64; 4]; 16]; 64] = jump_table();
+
+const fn jump_table() -> [[[u64; 4]; 16]; 64] {
+    let mut table = [[[0u64; 4]; 16]; 64];
+    let mut bit = 0;
+    while bit < 256 {
+        let mut basis = [0u64; 4];
+        basis[bit / 64] = 1 << (bit % 64);
+        let image = jump_by_steps(basis);
+        let (p, b) = (bit / 4, bit % 4);
+        let mut v = 0;
+        while v < 16 {
+            if (v >> b) & 1 != 0 {
+                let mut w = 0;
+                while w < 4 {
+                    table[p][v][w] ^= image[w];
+                    w += 1;
+                }
+            }
+            v += 1;
+        }
+        bit += 1;
+    }
+    table
 }
 
 impl Prng for Xoshiro256StarStar {
@@ -178,6 +234,60 @@ impl Prng for Box<dyn Prng> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Xoshiro256StarStar {
+        /// The reference jump: the authors' 256-step evaluation of the jump
+        /// polynomial over `next_u64`.
+        fn jump_reference(&mut self) {
+            let mut acc = [0u64; 4];
+            for jump_word in JUMP {
+                for bit in 0..64 {
+                    if (jump_word & (1u64 << bit)) != 0 {
+                        for (a, s) in acc.iter_mut().zip(self.s) {
+                            *a ^= s;
+                        }
+                    }
+                    let _ = self.next_u64();
+                }
+            }
+            self.s = acc;
+        }
+    }
+
+    fn jumped(s: [u64; 4]) -> ([u64; 4], [u64; 4]) {
+        let (mut fast, mut reference) = (Xoshiro256StarStar { s }, Xoshiro256StarStar { s });
+        fast.jump();
+        reference.jump_reference();
+        (fast.s, reference.s)
+    }
+
+    #[test]
+    fn table_jump_matches_reference_on_every_basis_vector() {
+        for bit in 0..256 {
+            let mut s = [0u64; 4];
+            s[bit / 64] = 1 << (bit % 64);
+            let (fast, reference) = jumped(s);
+            assert_eq!(fast, reference, "basis bit {bit}");
+        }
+    }
+
+    #[test]
+    fn table_jump_matches_reference_on_random_states() {
+        let mut meta = SplitMix64::new(0x1A3B);
+        for i in 0..10_000 {
+            let s = [meta.next_u64(), meta.next_u64(), meta.next_u64(), meta.next_u64()];
+            let (fast, reference) = jumped(s);
+            assert_eq!(fast, reference, "state #{i} {s:#x?}");
+        }
+    }
+
+    #[test]
+    fn jump_output_is_pinned() {
+        // The authors' 256-step jump gives this first draw for seed 1.
+        let mut rng = Xoshiro256StarStar::new(1);
+        rng.jump();
+        assert_eq!(rng.next_u64(), 0x3328_02F8_1EAA_E9D0);
+    }
 
     #[test]
     fn splitmix_reference_values() {

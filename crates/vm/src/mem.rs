@@ -17,6 +17,16 @@
 //! side writes to it.  A forked worker that never touches its globals never
 //! pays for them, which is what lets a fleet campaign boot 10^5 victims
 //! without materialising 10^5 address spaces.
+//!
+//! A private copy also records the image it was copied from (its *base*)
+//! and the byte range written since (its *dirty range*).  That is what
+//! makes forking into a recycled worker
+//! ([`Process::fork_into`](crate::process::Process::fork_into)) cheap: when
+//! the parent still shares that same base allocation — bytes behind an `Arc`
+//! are never written, so the base still holds exactly the parent's bytes
+//! — only the dirty range is copied back.  Once the parent has written
+//! and re-shared, its image is a new allocation, the check fails, and the
+//! worker falls back to cloning the parent's pages like a fresh fork.
 
 use std::sync::Arc;
 
@@ -41,10 +51,16 @@ pub const DEFAULT_GLOBAL_SIZE: u64 = 64 * 1024;
 /// long since unshared — whereas an `Owned` segment hands out `&mut`
 /// directly.  [`Pages::share`] converts back to `Shared` so `fork()` stays
 /// an `Arc` bump per segment.
+///
+/// An `Owned` segment copied from an image that others still share
+/// remembers that image (`base`) and the byte range `lo..hi` written since,
+/// so [`Pages::refork_from`] can turn it back into a copy of the image by
+/// restoring only those bytes.  A segment nobody else shared is taken over
+/// without a copy and has no base.
 #[derive(Debug)]
 enum Pages {
     Shared(Arc<Vec<u8>>),
-    Owned(Vec<u8>),
+    Owned { bytes: Vec<u8>, base: Option<Arc<Vec<u8>>>, lo: usize, hi: usize },
 }
 
 impl Pages {
@@ -56,20 +72,35 @@ impl Pages {
     fn bytes(&self) -> &[u8] {
         match self {
             Pages::Shared(arc) => arc,
-            Pages::Owned(vec) => vec,
+            Pages::Owned { bytes, .. } => bytes,
         }
     }
 
-    /// The single write gateway: the first write to a `Shared` segment
-    /// copies it (the copy-on-write fault); an `Owned` segment is handed
-    /// out with no refcount traffic at all.
+    /// The single write gateway: hands out `bytes[off..off + len]` and
+    /// widens the dirty range over it.  The first write to a `Shared`
+    /// segment copies it (the copy-on-write fault) unless no one else
+    /// holds it; an `Owned` segment is handed out with no refcount traffic
+    /// at all.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `off + len` exceeds the segment; callers resolve the
+    /// range first.
     #[inline]
-    fn bytes_mut(&mut self) -> &mut Vec<u8> {
+    fn bytes_mut(&mut self, off: usize, len: usize) -> &mut [u8] {
         if let Pages::Shared(arc) = self {
-            *self = Pages::Owned(arc.as_ref().clone());
+            let (bytes, base) = match Arc::get_mut(arc) {
+                Some(unique) => (std::mem::take(unique), None),
+                None => (arc.as_ref().clone(), Some(Arc::clone(arc))),
+            };
+            *self = Pages::Owned { lo: bytes.len(), hi: 0, bytes, base };
         }
         match self {
-            Pages::Owned(vec) => vec,
+            Pages::Owned { bytes, lo, hi, .. } => {
+                *lo = (*lo).min(off);
+                *hi = (*hi).max(off + len);
+                &mut bytes[off..off + len]
+            }
             Pages::Shared(_) => unreachable!("converted to Owned above"),
         }
     }
@@ -80,8 +111,27 @@ impl Pages {
     /// §II-B caveat — and the byte copy is deferred to whichever side
     /// writes first.
     fn share(&mut self) {
-        if let Pages::Owned(vec) = self {
-            *self = Pages::Shared(Arc::new(std::mem::take(vec)));
+        if let Pages::Owned { bytes, .. } = self {
+            *self = Pages::Shared(Arc::new(std::mem::take(bytes)));
+        }
+    }
+
+    /// Makes this segment a copy of `parent`.  When this segment is an
+    /// `Owned` copy of the very allocation `parent` still shares, only the
+    /// dirty range is copied back and the buffer is kept; otherwise the
+    /// segment becomes a clone of `parent` (an `Arc` bump when `parent` is
+    /// `Shared`).
+    fn refork_from(&mut self, parent: &Pages) {
+        match (&mut *self, parent) {
+            (Pages::Owned { bytes, base: Some(base), lo, hi }, Pages::Shared(image))
+                if Arc::ptr_eq(base, image) =>
+            {
+                if *lo < *hi {
+                    bytes[*lo..*hi].copy_from_slice(&image[*lo..*hi]);
+                }
+                (*lo, *hi) = (bytes.len(), 0);
+            }
+            _ => *self = parent.clone(),
         }
     }
 
@@ -99,7 +149,7 @@ impl Clone for Pages {
             Pages::Shared(arc) => Pages::Shared(Arc::clone(arc)),
             // Cloning an owned segment has to copy; fork avoids this by
             // calling `share` on the parent first.
-            Pages::Owned(vec) => Pages::Shared(Arc::new(vec.clone())),
+            Pages::Owned { bytes, .. } => Pages::Shared(Arc::new(bytes.clone())),
         }
     }
 }
@@ -149,6 +199,25 @@ impl Memory {
             globals: Pages::new(DEFAULT_GLOBAL_SIZE as usize),
             global_size: DEFAULT_GLOBAL_SIZE,
         }
+    }
+
+    /// An image with no mapped bytes: the placeholder a blank process
+    /// holds until [`Memory::refork_from`] fills it.
+    pub(crate) fn unmapped() -> Self {
+        Memory { stack: Pages::new(0), stack_size: 0, globals: Pages::new(0), global_size: 0 }
+    }
+
+    /// Turns this image into a copy of `parent`, as forking into a recycled
+    /// worker does.  A segment that is a private copy of the allocation
+    /// `parent` still shares gets back only the bytes written since the
+    /// copy; any other segment becomes a clone of `parent`'s (an `Arc` bump
+    /// once `parent` has called [`Memory::share_pages`]).  Either way the
+    /// contents equal `parent`'s afterwards.
+    pub(crate) fn refork_from(&mut self, parent: &Memory) {
+        self.stack.refork_from(&parent.stack);
+        self.globals.refork_from(&parent.globals);
+        self.stack_size = parent.stack_size;
+        self.global_size = parent.global_size;
     }
 
     /// Re-shares any segment this process owns outright, so that a
@@ -230,12 +299,13 @@ impl Memory {
     }
 
     /// The single write gateway: unshares the touched segment (and only
-    /// that segment) before handing out the mutable bytes.
+    /// that segment) and marks `off..off + len` dirty before handing out
+    /// the mutable bytes.
     #[inline]
-    fn segment_mut(&mut self, seg: Segment) -> &mut Vec<u8> {
+    fn segment_mut(&mut self, seg: Segment, off: usize, len: usize) -> &mut [u8] {
         match seg {
-            Segment::Stack => self.stack.bytes_mut(),
-            Segment::Globals => self.globals.bytes_mut(),
+            Segment::Stack => self.stack.bytes_mut(off, len),
+            Segment::Globals => self.globals.bytes_mut(off, len),
         }
     }
 
@@ -280,15 +350,17 @@ impl Memory {
         let limit = self.stack_limit();
         if addr >= limit && addr <= STACK_TOP - 8 {
             let off = (addr - limit) as usize;
-            if let Pages::Owned(vec) = &mut self.stack {
-                if let Some(chunk) = vec.get_mut(off..off + 8) {
+            if let Pages::Owned { bytes, lo, hi, .. } = &mut self.stack {
+                if let Some(chunk) = bytes.get_mut(off..off + 8) {
                     chunk.copy_from_slice(&value.to_le_bytes());
+                    *lo = (*lo).min(off);
+                    *hi = (*hi).max(off + 8);
                     return Ok(());
                 }
             }
         }
         let (seg, off) = self.resolve(addr, 8)?;
-        self.segment_mut(seg)[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        self.segment_mut(seg, off, 8).copy_from_slice(&value.to_le_bytes());
         Ok(())
     }
 
@@ -312,7 +384,7 @@ impl Memory {
     #[inline]
     pub fn write_u32(&mut self, addr: u64, value: u32) -> Result<(), VmError> {
         let (seg, off) = self.resolve(addr, 4)?;
-        self.segment_mut(seg)[off..off + 4].copy_from_slice(&value.to_le_bytes());
+        self.segment_mut(seg, off, 4).copy_from_slice(&value.to_le_bytes());
         Ok(())
     }
 
@@ -335,7 +407,7 @@ impl Memory {
     #[inline]
     pub fn write_u8(&mut self, addr: u64, value: u8) -> Result<(), VmError> {
         let (seg, off) = self.resolve(addr, 1)?;
-        self.segment_mut(seg)[off] = value;
+        self.segment_mut(seg, off, 1)[0] = value;
         Ok(())
     }
 
@@ -358,7 +430,7 @@ impl Memory {
             return Ok(());
         }
         let (seg, off) = self.resolve(addr, data.len())?;
-        self.segment_mut(seg)[off..off + data.len()].copy_from_slice(data);
+        self.segment_mut(seg, off, data.len()).copy_from_slice(data);
         Ok(())
     }
 
@@ -467,6 +539,59 @@ mod tests {
         assert!(parent.shares_pages_with(&parent.clone()));
         // Contents stay equal wherever untouched.
         assert_eq!(parent.read_u64(GLOBAL_BASE).unwrap(), child.read_u64(GLOBAL_BASE).unwrap());
+    }
+
+    /// A forked child that writes its stack and globals, as a worker does.
+    fn used_child(parent: &mut Memory) -> Memory {
+        parent.share_pages();
+        let mut child = parent.clone();
+        child.write_u64(STACK_TOP - 0x80, 0xDEAD).unwrap();
+        child.write_bytes(STACK_TOP - 0x200, &[0x41; 40]).unwrap();
+        child.write_u8(GLOBAL_BASE + 9, 7).unwrap();
+        child.write_u32(GLOBAL_BASE + 0x100, 0xBEEF).unwrap();
+        child
+    }
+
+    #[test]
+    fn refork_after_stack_and_globals_writes_equals_the_parent() {
+        let mut parent = Memory::new();
+        parent.write_u64(STACK_TOP - 0x1F8, 0x1234).unwrap();
+        let mut child = used_child(&mut parent);
+        assert_ne!(child, parent);
+        let buffers = (child.stack.bytes().as_ptr(), child.globals.bytes().as_ptr());
+        child.refork_from(&parent);
+        assert_eq!(child, parent);
+        // The restore reused the child's own buffers.
+        assert_eq!((child.stack.bytes().as_ptr(), child.globals.bytes().as_ptr()), buffers);
+        // A second round restores again and tracks new writes.
+        child.write_u64(child.stack_limit(), 5).unwrap();
+        child.refork_from(&parent);
+        assert_eq!(child, parent);
+    }
+
+    #[test]
+    fn refork_after_the_parent_wrote_takes_the_full_copy() {
+        let mut parent = Memory::new();
+        let mut child = used_child(&mut parent);
+        // The parent writes outside the child's dirty range, which unshares
+        // its image: the child's base is now stale.
+        parent.write_u64(STACK_TOP - 0x400, 0xF00D).unwrap();
+        parent.write_u64(GLOBAL_BASE + 0x800, 0xF00D).unwrap();
+        parent.share_pages();
+        child.refork_from(&parent);
+        assert_eq!(child, parent);
+        assert!(child.shares_pages_with(&parent), "the fallback clones the parent's pages");
+    }
+
+    #[test]
+    fn refork_of_an_unwritten_child_only_shares() {
+        let mut parent = Memory::new();
+        parent.share_pages();
+        let mut child = Memory::unmapped();
+        child.refork_from(&parent);
+        assert!(child.shares_pages_with(&parent));
+        assert_eq!(child.stack_limit(), parent.stack_limit());
+        assert_eq!(child, parent);
     }
 
     #[test]

@@ -116,6 +116,11 @@ impl Process {
         }
     }
 
+    /// A process with nothing mapped, for [`Process::fork_into`] to fill.
+    pub fn blank() -> Self {
+        Process::from_image(Pid(0), 0, Memory::unmapped())
+    }
+
     /// The process id.
     pub fn pid(&self) -> Pid {
         self.pid
@@ -128,24 +133,34 @@ impl Process {
     /// not draw identical "random" values — on real hardware `rdrand` is a
     /// shared physical device, so the streams are naturally distinct.
     pub fn fork(&mut self, child_pid: Pid) -> Process {
+        let mut child = Process::blank();
+        self.fork_into(&mut child, child_pid);
+        child
+    }
+
+    /// [`Process::fork`] into an existing process: `child` — typically a
+    /// worker that served an earlier connection — is overwritten with the
+    /// forked state, reusing its buffers.  A worker forked again from a
+    /// parent whose image has not changed copies back only the memory
+    /// bytes it wrote.  The result is the same as
+    /// `*child = self.fork(child_pid)`.
+    pub fn fork_into(&mut self, child: &mut Process, child_pid: Pid) {
         self.forks += 1;
-        // Re-share any segment this process owns outright, so the clone
-        // below is an `Arc` bump per segment (kernel COW) even when the
-        // parent has already written its stack.
+        // Re-share any segment this process owns outright, so the child's
+        // segments alias it (kernel COW) even when the parent has already
+        // written its stack.
         self.memory.share_pages();
-        Process {
-            pid: child_pid,
-            memory: self.memory.clone(),
-            tls: self.tls.clone(),
-            hwrng: self.hwrng.split(),
-            tsc: self.tsc.clone(),
-            canary_addresses: self.canary_addresses.clone(),
-            dcr_list: self.dcr_list.clone(),
-            owf_key: self.owf_key.clone(),
-            input: Vec::new(),
-            output: Vec::new(),
-            forks: 0,
-        }
+        child.pid = child_pid;
+        child.memory.refork_from(&self.memory);
+        child.tls.clone_from(&self.tls);
+        child.hwrng = self.hwrng.split();
+        child.tsc = self.tsc.clone();
+        child.canary_addresses.clone_from(&self.canary_addresses);
+        child.dcr_list.clone_from(&self.dcr_list);
+        child.owf_key.clone_from(&self.owf_key);
+        child.input.clear();
+        child.output.clear();
+        child.forks = 0;
     }
 
     /// Number of children forked from this process so far.
@@ -157,6 +172,12 @@ impl Process {
     /// request-handling function.
     pub fn set_input(&mut self, input: impl Into<Vec<u8>>) {
         self.input = input.into();
+    }
+
+    /// Sets the input to a copy of `input`, reusing the input buffer.
+    pub fn set_input_from_slice(&mut self, input: &[u8]) {
+        self.input.clear();
+        self.input.extend_from_slice(input);
     }
 
     /// The current input buffer.
@@ -243,6 +264,31 @@ mod tests {
                 "parent and child must not draw identical rdrand values"
             );
         }
+    }
+
+    #[test]
+    fn fork_into_a_used_worker_equals_a_fresh_fork() {
+        let mut parent = Process::new(Pid(1), 42, DEFAULT_STACK_SIZE);
+        parent.tls.set_canary(0xC0DE);
+        parent.dcr_list.push(0x7fff_0010);
+        let mut worker = parent.fork(Pid(2));
+        worker.memory.write_u64(worker.memory.stack_top() - 0x40, 9).unwrap();
+        worker.tls.set_shadow_canary(5, 6);
+        worker.canary_addresses.push(0x7fff_0020);
+        worker.set_input(vec![1, 2]);
+        worker.push_output(b"leak");
+
+        let mut twin = parent.clone();
+        let mut fresh = twin.fork(Pid(3));
+        parent.fork_into(&mut worker, Pid(3));
+        assert_eq!(worker.pid(), fresh.pid());
+        assert!(worker.memory == fresh.memory);
+        assert_eq!(worker.tls, fresh.tls);
+        assert_eq!(worker.canary_addresses, fresh.canary_addresses);
+        assert_eq!(worker.dcr_list, fresh.dcr_list);
+        assert!(worker.input().is_empty() && worker.output().is_empty());
+        assert_eq!(worker.hwrng.rdrand_retrying(), fresh.hwrng.rdrand_retrying());
+        assert_eq!(parent.fork_count(), twin.fork_count());
     }
 
     #[test]

@@ -30,9 +30,21 @@ pub const TLS_SIZE: u64 = 0x400;
 /// Cloning a [`Tls`] is exactly what `fork()` does to the child's TLS: a
 /// byte-for-byte copy of the parent's block (§II-B of the paper explains why
 /// this is the root cause of the byte-by-byte attack).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Tls {
     bytes: Vec<u8>,
+}
+
+impl Clone for Tls {
+    fn clone(&self) -> Self {
+        Tls { bytes: self.bytes.clone() }
+    }
+
+    /// Copies `source` into this block's existing buffer, which is how a
+    /// recycled worker takes its parent's TLS without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.bytes.clone_from(&source.bytes);
+    }
 }
 
 impl Tls {

@@ -102,3 +102,16 @@ fn nesting_up_to_the_limit_still_parses() {
     let over = format!("[{at_limit}]");
     assert!(Value::from_json(&over).is_err());
 }
+
+#[test]
+fn bad_unicode_escapes_name_their_fault() {
+    let message = |json: &str| Value::from_json(json).expect_err(json).message;
+    // Four bytes follow `\u`, but they are not hex digits.
+    assert_eq!(message(r#""\uZZZZ""#), "invalid \\u escape");
+    assert_eq!(message(r#""\u12G4""#), "invalid \\u escape");
+    assert_eq!(message(r#""\uD800\uZZZZ""#), "invalid \\u escape");
+    // Fewer than four bytes are left after `\u`.
+    assert_eq!(message(r#""\u12"#), "truncated \\u escape");
+    assert_eq!(message(r#""\uD800\u1"#), "truncated \\u escape");
+    assert_eq!(Value::from_json(r#""\u00e9""#).expect("valid escape"), Value::Str("é".into()));
+}
