@@ -92,13 +92,12 @@ pub struct ExperimentCtx {
     pub seed: u64,
     /// CI-sized workloads (`--quick`): fewer programs, requests and seeds.
     pub quick: bool,
-    /// Adaptive campaign budgets (`--adaptive`): [`ExperimentCtx::stop_rule`]
-    /// defaults to [`StopRule::settled`] instead of [`StopRule::Exhaustive`].
-    pub adaptive: bool,
     /// Worker-thread budget; `None` uses one worker per available CPU.
     pub workers: Option<usize>,
     /// Stop rule for single-rule campaign scenarios (the stop-rule
-    /// *comparison* scenarios run all three rules regardless).
+    /// *comparison* scenarios run all three rules regardless).  `--adaptive`
+    /// sets it to [`StopRule::settled`]; the exported `adaptive` field is
+    /// `stop_rule != Exhaustive`.
     pub stop_rule: StopRule,
     /// Output medium the harness renders into.
     pub format: ExportFormat,
@@ -137,7 +136,6 @@ impl ExperimentCtx {
         ExperimentCtx {
             seed,
             quick: false,
-            adaptive: false,
             workers: None,
             stop_rule: StopRule::Exhaustive,
             format: ExportFormat::Text,
@@ -180,7 +178,6 @@ impl ExperimentCtx {
     /// (the harness `--adaptive` flag).
     #[must_use]
     pub fn adaptive(mut self) -> Self {
-        self.adaptive = true;
         self.stop_rule = StopRule::settled();
         self
     }
@@ -196,13 +193,6 @@ impl ExperimentCtx {
     #[must_use]
     pub fn with_stop_rule(mut self, stop_rule: StopRule) -> Self {
         self.stop_rule = stop_rule;
-        self
-    }
-
-    /// Selects the output medium.
-    #[must_use]
-    pub fn with_format(mut self, format: ExportFormat) -> Self {
-        self.format = format;
         self
     }
 
@@ -277,7 +267,7 @@ impl ExperimentCtx {
         Record::new()
             .field("seed", self.seed)
             .field("quick", self.quick)
-            .field("adaptive", self.adaptive)
+            .field("adaptive", self.stop_rule != StopRule::Exhaustive)
             .field("workers", self.workers.unwrap_or(0))
             .field("stop_rule", self.stop_rule.label())
             .field("format", self.format.label())
@@ -519,7 +509,10 @@ mod tests {
         assert_eq!(rec.get("quick"), Some(&Value::Bool(true)));
         assert_eq!(rec.get("workers"), Some(&Value::UInt(4)));
         assert_eq!(rec.get("stop_rule"), Some(&Value::Str("exhaustive".into())));
+        assert_eq!(rec.get("adaptive"), Some(&Value::Bool(false)));
         assert_eq!(rec.get("opt_level"), Some(&Value::Str("O2".into())));
+        let adaptive = ExperimentCtx::new(9).adaptive().record();
+        assert_eq!(adaptive.get("adaptive"), Some(&Value::Bool(true)));
         // Auto parallelism encodes as 0.
         assert_eq!(ExperimentCtx::new(9).record().get("workers"), Some(&Value::UInt(0)));
     }

@@ -169,14 +169,14 @@ impl Compiler {
             // Stage 1: analysis over the unoptimized IR.
             let mut analysis = self.passes.run(func);
 
-            // Stage 2: IR transforms (folding, fusion, DSE), then layout.
+            // Stage 2: IR transforms (compute fusion), then layout.
             let mut func_opt = func.clone();
             self.passes.transform_ir(&mut func_opt);
             let layout = layout_frame(&func_opt, scheme_ref)?;
             debug_assert_eq!(analysis.needs_protection, layout.info.protected);
 
-            // Stage 3: lower, then instruction transforms (scheduling,
-            // canary-load elimination, cost estimation).
+            // Stage 3: lower, then instruction transforms (canary-load
+            // elimination, cost estimation).
             let mut body = lower_function(&func_opt, &layout, scheme_ref, &ids)?;
             let ctx = PassCtx {
                 scheme: kind,
@@ -546,64 +546,6 @@ mod tests {
         let id = compiled.by_name["handle_request"];
         let insts = compiled.program.function(id).unwrap().insts();
         assert!(insts.iter().any(|i| matches!(i, Inst::XorTlsReg { .. })));
-    }
-
-    #[test]
-    fn canary_schedule_sinks_the_store_and_hoists_the_check() {
-        let module = ModuleBuilder::new()
-            .function(
-                FunctionBuilder::new("worker")
-                    .buffer("buf", 32)
-                    .compute(100)
-                    .safe_copy("buf")
-                    .returns(0)
-                    .compute(50)
-                    .build(),
-            )
-            .build()
-            .unwrap();
-        let compiled =
-            Compiler::new(SchemeKind::Ssp).with_opt_level(OptLevel::O1).compile(&module).unwrap();
-        let id = compiled.by_name["worker"];
-        let insts = compiled.program.function(id).unwrap().insts();
-        let setup_compute = insts.iter().position(|i| matches!(i, Inst::Compute(100))).unwrap();
-        let store = insts.iter().position(|i| matches!(i, Inst::MovRegToFrame { .. })).unwrap();
-        let check = insts.iter().position(|i| matches!(i, Inst::XorTlsReg { .. })).unwrap();
-        let tail_compute = insts.iter().position(|i| matches!(i, Inst::Compute(50))).unwrap();
-        assert!(setup_compute < store, "setup computation runs before the canary store");
-        assert!(check < tail_compute, "the check is hoisted above trailing computation");
-        // The moved computation still cannot touch the protected window: the
-        // input copy remains strictly between store and check.
-        let copy =
-            insts.iter().position(|i| matches!(i, Inst::CopyInputToFrameBounded { .. })).unwrap();
-        assert!(store < copy && copy < check);
-    }
-
-    #[test]
-    fn dead_zero_fills_are_eliminated_only_when_unobservable() {
-        let module = |leaky: bool| {
-            let mut f = FunctionBuilder::new("f").buffer("buf", 16).zero_fill("buf");
-            if leaky {
-                f = f.leak("buf", 2);
-            }
-            ModuleBuilder::new().function(f.returns(0).build()).build().unwrap()
-        };
-        let count_zero_stores = |module: &ModuleDef, opt: OptLevel| {
-            let compiled =
-                Compiler::new(SchemeKind::Ssp).with_opt_level(opt).compile(module).unwrap();
-            let id = compiled.by_name["f"];
-            compiled
-                .program
-                .function(id)
-                .unwrap()
-                .insts()
-                .iter()
-                .filter(|i| matches!(i, Inst::MovImmToFrame { imm: 0, .. }))
-                .count()
-        };
-        assert_eq!(count_zero_stores(&module(false), OptLevel::O0), 4);
-        assert_eq!(count_zero_stores(&module(false), OptLevel::O2), 0);
-        assert_eq!(count_zero_stores(&module(true), OptLevel::O2), 4, "leaky fills observable");
     }
 
     #[test]

@@ -77,8 +77,7 @@ pub enum Stmt {
         cycles: u64,
     },
     /// Zero-fill a local buffer — the `memset(buf, 0, sizeof buf)` /
-    /// `char buf[N] = {0};` model.  Subject to dead-store elimination at
-    /// `O2` when the zeroed bytes are provably unobservable.
+    /// `char buf[N] = {0};` model.
     InitBuffer {
         /// Index of the buffer local to zero.
         local: usize,

@@ -18,8 +18,7 @@
 //!
 //! In addition the crate hosts the deterministic pseudo random number
 //! generators ([`prng`]) that the rest of the workspace uses so every
-//! experiment is reproducible from a seed, plus [`sha1`] as an alternative
-//! instantiation of the one-way function discussed in §IV-C of the paper.
+//! experiment is reproducible from a seed.
 //!
 //! # Quick example
 //!
@@ -44,15 +43,12 @@
 pub mod aes;
 pub mod error;
 pub mod hwrng;
-pub mod oneway;
 pub mod prng;
-pub mod sha1;
 pub mod tsc;
 
 pub use aes::Aes128;
 pub use error::CryptoError;
 pub use hwrng::HardwareRng;
-pub use oneway::{AesOneWay, OneWayFunction, Sha1OneWay};
 pub use prng::{Prng, SplitMix64, Xoshiro256StarStar};
 pub use tsc::TimeStampCounter;
 
