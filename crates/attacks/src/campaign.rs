@@ -12,16 +12,18 @@
 //! Victims are completely independent, so campaigns fan out over the shared
 //! parallel [`JobPool`], using its sharded executor
 //! ([`JobPool::run_sharded`]): workers pull contiguous chunks of victim
-//! indices from an atomic cursor, and the stop rule is evaluated
-//! *event-driven* on seed-ordered result prefixes as results arrive.  Every
-//! run is deterministic in its seed, which makes the aggregate
-//! deterministic too: the report is identical whatever the worker-thread
-//! count (only `wall_time` and the speculation telemetry vary).  An
-//! adaptive [`StopRule`] can end a campaign early — cancelling every shard
-//! not yet claimed — once a Wilson-interval bound settles the [`Verdict`],
-//! or, under [`StopRule::Sprt`], once Wald's sequential probability-ratio
-//! test crosses a decision boundary (one run sooner on unanimous
-//! populations).
+//! indices in order, and the stop rule is evaluated *event-driven* on
+//! seed-ordered result prefixes as results arrive.  Every run is
+//! deterministic in its seed, which makes the aggregate deterministic too:
+//! the report is identical whatever the worker-thread count (only
+//! `wall_time` and the scheduling telemetry vary).  An adaptive
+//! [`StopRule`] can end a campaign early — cancelling every victim not yet
+//! started — once a Wilson-interval bound settles the [`Verdict`], or,
+//! under [`StopRule::Sprt`], once Wald's sequential probability-ratio test
+//! crosses a decision boundary (one run sooner on unanimous populations).
+//! The rule's [`StopRule::horizon`] also keeps workers from starting a
+//! victim the rule could already make unnecessary, so an adaptive
+//! campaign builds exactly the victims it reports.
 //!
 //! Fleet scale comes from snapshot-keyed victim construction: all victims
 //! sharing a scheme × deployment × buffer-size configuration are built from
@@ -191,11 +193,6 @@ pub enum StopRule {
         z: f64,
         /// Success-rate boundary the interval must clear.
         threshold: f64,
-        /// Historical scheduling-batch size, kept for configuration
-        /// compatibility.  The sharded executor evaluates the rule after
-        /// every completed run regardless; use
-        /// [`Campaign::with_shard_size`] to tune scheduling granularity.
-        batch: usize,
     },
     /// Wald's sequential probability-ratio test: stop as soon as the
     /// accumulated log-likelihood ratio between "the attack breaks the
@@ -216,6 +213,20 @@ pub enum StopRule {
     },
 }
 
+/// How far Wald's log-likelihood ratio after `successes` out of `runs` is
+/// from the "breaks" and the "resists" boundary for error rates `alpha` /
+/// `beta`, each counted in the runs (successes or failures) that close it:
+/// a distance at or below zero means that boundary is crossed.
+fn sprt_distances(alpha: f64, beta: f64, successes: u64, runs: u64) -> (f64, f64) {
+    let success_step = (SPRT_P1 / SPRT_P0).ln();
+    let failure_step = ((1.0 - SPRT_P1) / (1.0 - SPRT_P0)).ln();
+    let llr = successes as f64 * success_step + (runs - successes) as f64 * failure_step;
+    (
+        (((1.0 - beta) / alpha).ln() - llr) / success_step,
+        ((beta / (1.0 - alpha)).ln() - llr) / failure_step,
+    )
+}
+
 /// SPRT null-hypothesis success rate ("the scheme resists"): the lower edge
 /// of the indifference region around the 1/2 verdict threshold.
 pub const SPRT_P0: f64 = 0.2;
@@ -227,7 +238,7 @@ impl StopRule {
     /// The standard adaptive rule: 95 % Wilson interval against a success
     /// rate of 1/2 — four unanimous runs settle the verdict either way.
     pub fn settled() -> Self {
-        StopRule::WilsonSettled { z: 1.96, threshold: 0.5, batch: 4 }
+        StopRule::WilsonSettled { z: 1.96, threshold: 0.5 }
     }
 
     /// The standard sequential rule: Wald SPRT at 5 % error rates both
@@ -254,7 +265,7 @@ impl StopRule {
         }
         match *self {
             StopRule::Exhaustive => None,
-            StopRule::WilsonSettled { z, threshold, .. } => {
+            StopRule::WilsonSettled { z, threshold } => {
                 let (low, high) = wilson_interval(successes, runs, z);
                 if low > threshold {
                     Some(Verdict::Breaks)
@@ -265,13 +276,10 @@ impl StopRule {
                 }
             }
             StopRule::Sprt { alpha, beta } => {
-                let s = successes as f64;
-                let f = (runs - successes) as f64;
-                let llr =
-                    s * (SPRT_P1 / SPRT_P0).ln() + f * ((1.0 - SPRT_P1) / (1.0 - SPRT_P0)).ln();
-                if llr >= ((1.0 - beta) / alpha).ln() {
+                let (to_break, to_resist) = sprt_distances(alpha, beta, successes, runs);
+                if to_break <= 0.0 {
                     Some(Verdict::Breaks)
-                } else if llr <= (beta / (1.0 - alpha)).ln() {
+                } else if to_resist <= 0.0 {
                     Some(Verdict::Resists)
                 } else {
                     None
@@ -286,11 +294,41 @@ impl StopRule {
         self.decision(successes, runs).is_some()
     }
 
+    /// The fewest further runs after which this rule could stop a campaign
+    /// that observed `successes` out of `runs` with `remaining` seeds left:
+    /// `0` when it stops now, `usize::MAX` when it never will.  The sharded
+    /// executor starts no victim past this horizon, so no victim is built
+    /// whose run the stop rule would discard.
+    ///
+    /// A unanimous run moves either test furthest, so only those futures
+    /// are checked: [`StopRule::Sprt`] in closed form (every success or
+    /// failure moves the log-likelihood ratio by a fixed step),
+    /// [`StopRule::WilsonSettled`] by searching [`StopRule::decision`] up
+    /// to `remaining`.
+    pub fn horizon(&self, successes: u64, runs: u64, remaining: usize) -> usize {
+        if self.should_stop(successes, runs) {
+            return 0;
+        }
+        match *self {
+            StopRule::Exhaustive => usize::MAX,
+            StopRule::WilsonSettled { .. } => (1..=remaining as u64)
+                .find(|&more| {
+                    self.should_stop(successes + more, runs + more)
+                        || self.should_stop(successes, runs + more)
+                })
+                .map_or(usize::MAX, |more| more as usize),
+            StopRule::Sprt { alpha, beta } => {
+                let (to_break, to_resist) = sprt_distances(alpha, beta, successes, runs);
+                to_break.min(to_resist).ceil().max(1.0) as usize
+            }
+        }
+    }
+
     /// Default shard size (contiguous victim indices per worker claim) for
     /// campaigns under this rule: large shards amortize scheduling for
-    /// exhaustive sweeps, single-victim shards keep an adaptive campaign's
-    /// speculative overshoot past the settle point bounded by the worker
-    /// count.
+    /// exhaustive sweeps.  An adaptive campaign only runs the victims
+    /// inside its [`StopRule::horizon`], and single-victim shards let
+    /// those run side by side instead of queueing behind one worker.
     fn default_shard_size(&self) -> usize {
         match *self {
             StopRule::Exhaustive => 64,
@@ -396,11 +434,11 @@ pub struct CampaignReport {
     /// Contiguous victim indices per worker shard claim (part of the
     /// campaign configuration, so deterministic).
     pub shard_size: usize,
-    /// Victim servers actually booted, **including** speculative boots past
-    /// the settle point whose results were discarded.  Scheduling
-    /// telemetry: varies with worker timing, so it is not exported in
-    /// [`CampaignReport::record`] — but it is always strictly less than the
-    /// configured seed count when a stop rule cancelled shards.
+    /// Victim servers actually booted.  Workers start no victim past the
+    /// stop rule's [`StopRule::horizon`], so this equals `runs.len()`:
+    /// nothing is built past the settle point and discarded.  Scheduling
+    /// telemetry all the same, so it is not exported in
+    /// [`CampaignReport::record`].
     pub victims_built: usize,
     /// Shards workers claimed (same telemetry caveat as
     /// [`CampaignReport::victims_built`]).
@@ -479,7 +517,7 @@ impl CampaignReport {
         // parameters where the rule has them, the standard 95 % test
         // against 1/2 otherwise (exhaustive and SPRT campaigns).
         let (z, threshold) = match self.stop_rule {
-            StopRule::WilsonSettled { z, threshold, .. } => (z, threshold),
+            StopRule::WilsonSettled { z, threshold } => (z, threshold),
             StopRule::Exhaustive | StopRule::Sprt { .. } => (1.96, 0.5),
         };
         let (low, high) = wilson_interval(self.successes(), self.campaigns(), z);
@@ -505,8 +543,8 @@ impl CampaignReport {
 
     /// Configured victims the stop rule cancelled before they were ever
     /// scheduled — the victim-construction work an adaptive campaign saved
-    /// versus an exhaustive one.  Deterministic (unlike
-    /// [`CampaignReport::victims_built`], which counts speculation).
+    /// versus an exhaustive one.  Deterministic, unlike the
+    /// [`CampaignReport::victims_built`] telemetry.
     pub fn victims_cancelled(&self) -> usize {
         self.configured_seeds - self.runs.len()
     }
@@ -828,10 +866,10 @@ impl Campaign {
     /// and boot each victim from the campaign's [`SnapshotCache`], so each
     /// distinct victim configuration is compiled exactly once.  Under an
     /// adaptive [`StopRule`] the rule is evaluated event-driven on every
-    /// seed-ordered result prefix, and the first settling prefix cancels
-    /// all unscheduled shards; results a parallel worker computed past that
-    /// point are discarded, exactly as if the campaign had run serially and
-    /// stopped there.  Because the prefix walk never depends on worker
+    /// seed-ordered result prefix: no victim is started past the rule's
+    /// [`StopRule::horizon`], and the first settling prefix cancels every
+    /// victim not yet started, exactly as if the campaign had run serially
+    /// and stopped there.  Because the prefix walk never depends on worker
     /// finish order, the report stays deterministic in the seed list
     /// whatever the parallelism.
     pub fn run(&self) -> CampaignReport {
@@ -854,9 +892,9 @@ impl Campaign {
                     result: self.attack.run_once_with(&cache, self.victim_config_at(index, seed)),
                 }
             },
-            |index, run: &CampaignRun| {
-                successes += u64::from(run.result.success);
-                self.stop_rule.should_stop(successes, index as u64 + 1)
+            |prefix: &[CampaignRun]| {
+                successes += prefix.last().map_or(0, |run| u64::from(run.result.success));
+                self.stop_rule.horizon(successes, prefix.len() as u64, total - prefix.len())
             },
         );
 
@@ -959,21 +997,75 @@ mod tests {
 
     #[test]
     fn adaptive_campaign_cancels_unscheduled_victim_constructions() {
-        let report = Campaign::new(AttackKind::Exhaustive { budget: 50 }, SchemeKind::Pssp)
-            .with_seed_range(13, 64)
-            .with_stop_rule(StopRule::sprt())
-            .with_workers(1)
-            .run();
-        assert_eq!(report.campaigns(), 3, "unanimous SPRT settles in 3");
-        assert_eq!(report.victims_built, 3, "serial runs never speculate");
-        assert_eq!(report.victims_cancelled(), 61);
-        assert_eq!(report.shard_size, 1, "adaptive campaigns default to unit shards");
+        // Unanimous fleets either way: a 50-guess exhaustive search breaks
+        // no P-SSP victim, reuse breaks every SSP victim.  SPRT settles in
+        // 3 runs and Wilson in 4, and no worker count builds a victim past
+        // that point.
+        for (attack, scheme) in [
+            (AttackKind::Exhaustive { budget: 50 }, SchemeKind::Pssp),
+            (AttackKind::Reuse, SchemeKind::Ssp),
+        ] {
+            for (rule, settles_in) in [(StopRule::sprt(), 3), (StopRule::settled(), 4)] {
+                for workers in [1, 2, 4, 8] {
+                    let report = Campaign::new(attack, scheme)
+                        .with_seed_range(13, 64)
+                        .with_stop_rule(rule)
+                        .with_workers(workers)
+                        .run();
+                    let label = format!("{scheme}, {}, {workers} workers", rule.label());
+                    assert_eq!(report.runs.len(), settles_in, "{label}");
+                    assert_eq!(report.victims_built, settles_in, "{label}");
+                    assert_eq!(report.victims_cancelled(), 64 - settles_in, "{label}");
+                    assert_eq!(report.shard_size, 1, "adaptive campaigns default to unit shards");
+                }
+            }
+        }
         // Exhaustive shard-size default amortizes scheduling instead.
         let exhaustive = Campaign::new(AttackKind::Exhaustive { budget: 20 }, SchemeKind::Pssp)
             .with_seed_range(13, 8)
             .run();
         assert_eq!(exhaustive.shard_size, 64);
         assert_eq!(exhaustive.victims_cancelled(), 0);
+    }
+
+    #[test]
+    fn horizon_is_the_fewest_runs_after_which_the_rule_could_stop() {
+        // Brute force over every future: no run count below the horizon
+        // decides for any success split, and a unanimous one at the
+        // horizon does.
+        let lax = StopRule::WilsonSettled { z: 1.0, threshold: 0.3 };
+        for rule in
+            [StopRule::sprt(), StopRule::settled(), StopRule::Sprt { alpha: 0.01, beta: 0.2 }, lax]
+        {
+            for runs in 0..24u64 {
+                for successes in 0..=runs {
+                    let horizon = rule.horizon(successes, runs, 40);
+                    assert_eq!(horizon == 0, rule.should_stop(successes, runs), "{rule:?}");
+                    let cap = horizon.min(41) as u64;
+                    for more in 1..cap {
+                        for extra in 0..=more {
+                            assert!(
+                                !rule.should_stop(successes + extra, runs + more),
+                                "{rule:?}: {successes}/{runs} decides {more} runs in, horizon {horizon}"
+                            );
+                        }
+                    }
+                    if horizon != 0 && horizon != usize::MAX {
+                        let at = horizon as u64;
+                        assert!(
+                            rule.should_stop(successes + at, runs + at)
+                                || rule.should_stop(successes, runs + at),
+                            "{rule:?}: {successes}/{runs} undecided at horizon {horizon}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(StopRule::Exhaustive.horizon(3, 3, 10), usize::MAX);
+        assert_eq!(StopRule::sprt().horizon(0, 0, 64), 3);
+        assert_eq!(StopRule::settled().horizon(0, 0, 64), 4);
+        // Wilson searches no further than the seeds left.
+        assert_eq!(StopRule::settled().horizon(0, 0, 3), usize::MAX);
     }
 
     #[test]
@@ -1244,7 +1336,7 @@ mod tests {
         // A lax custom rule (z = 1.0) stops on a 6/8 split that the
         // standard 95 % test would call inconclusive; the report's verdict
         // must agree with the rule that stopped it.
-        let lax = StopRule::WilsonSettled { z: 1.0, threshold: 0.5, batch: 8 };
+        let lax = StopRule::WilsonSettled { z: 1.0, threshold: 0.5 };
         assert!(lax.should_stop(6, 8));
         let report = CampaignReport {
             attack: "byte-by-byte",
@@ -1269,7 +1361,7 @@ mod tests {
         // 6/8 split is nowhere near "breaks above 90 %", so the fallback
         // must use the configured bar, not the 1/2 default.
         let strict = CampaignReport {
-            stop_rule: StopRule::WilsonSettled { z: 1.96, threshold: 0.9, batch: 8 },
+            stop_rule: StopRule::WilsonSettled { z: 1.96, threshold: 0.9 },
             ..report
         };
         assert_eq!(strict.verdict(), Verdict::Inconclusive);

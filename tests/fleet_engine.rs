@@ -3,9 +3,10 @@
 //! * snapshot-booted servers are bit-identical to from-scratch ones on
 //!   every scheme × deployment cell (geometry, policies, leaked bytes,
 //!   request outcomes, operational counters, full attack results),
-//! * SPRT-settled campaigns cancel unscheduled shards: reports are
-//!   byte-identical at 1/4/8 workers while strictly fewer victims are
-//!   constructed than an exhaustive sweep would boot,
+//! * SPRT-settled campaigns cancel every victim not yet started: reports
+//!   are byte-identical at 1/4/8 workers, and a unanimous fleet constructs
+//!   exactly the victims it reports, far fewer than an exhaustive sweep
+//!   would boot,
 //! * a 10^5-seed fleet campaign completes with byte-identical records at
 //!   any worker count,
 //! * seed derivation is lazy: configuring a million-victim fleet costs
@@ -107,9 +108,9 @@ fn sprt_settlement_cancels_unscheduled_victims_at_any_worker_count() {
     assert_eq!(scrubbed_record(&serial), scrubbed_record(&eight), "exported records");
     assert!(serial.stopped_early(), "unanimous SSP settles in 3: {serial:?}");
 
-    // Cancellation contract: settling cancels the unscheduled shards, so
-    // strictly fewer victims are constructed than the exhaustive sweep's
-    // 64 — at every worker count, speculative boots included.
+    // Cancellation contract: settling cancels every victim not yet
+    // started, so strictly fewer victims are constructed than the
+    // exhaustive sweep's 64 — at every worker count.
     let exhaustive = base.with_stop_rule(StopRule::Exhaustive).with_workers(4).run();
     assert_eq!(exhaustive.victims_built, 64);
     for (workers, report) in [(1usize, &serial), (4, &four), (8, &eight)] {
@@ -120,6 +121,9 @@ fn sprt_settlement_cancels_unscheduled_victims_at_any_worker_count() {
             exhaustive.victims_built,
         );
         assert!(report.victims_built >= report.runs.len(), "{workers} workers");
+        // The fleet is unanimous, so the SPRT horizon is exact: no victim
+        // is built past the settle point.
+        assert_eq!(report.victims_built, report.runs.len(), "{workers} workers");
     }
 }
 

@@ -2,8 +2,9 @@
 //! same program are semantically equivalent.
 //!
 //! The transform passes are sold as *pure accelerations*: whatever the
-//! optimizer does to a body — folding computes, eliminating dead stores,
-//! rescheduling the prologue, strength-reducing the epilogue check — the
+//! O2 pipeline (stack-protect, critical-variables, compute-fusion,
+//! redundant-canary-load-elim, cost-estimation) does to a body — fusing
+//! adjacent computes, strength-reducing the epilogue check — the
 //! observable behavior of the program (exit status and attacker-visible
 //! output) must be identical to the unoptimized build; only cycle and
 //! instruction counts may move.  This suite enforces that over
@@ -65,7 +66,7 @@ fn gen_module(rng: &mut Rng, allow_leak: bool) -> ModuleDef {
             f = f.critical_buffer("secret", 16);
         }
         for _ in 0..rng.below(4) {
-            // Includes zero-cycle computes: const-fold fodder.
+            // Includes zero-cycle computes; adjacent ones feed compute-fusion.
             f = f.compute(rng.below(150));
         }
         if has_buffer {
